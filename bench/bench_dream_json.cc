@@ -1,26 +1,61 @@
-// Machine-readable DREAM window-growth benchmark: times the batch
-// (refit-from-scratch, the seed implementation) and incremental (rank-1
-// normal-equation updates) engines over identical histories at several
-// window caps, and emits BENCH_dream.json so the perf trajectory can be
-// tracked across PRs. Run via scripts/bench_dream.sh.
+// Machine-readable DREAM window-growth benchmark. Times Algorithm 1's two
+// engines — kBatch (refits every window from scratch with FitOls, the seed
+// implementation, kept as the reference) and kIncremental (one QR factor
+// per estimate, grown by Givens rotations, fitted by a pivoted QR of that
+// factor) — on two series, and emits BENCH_dream.json so the perf
+// trajectory can be tracked across PRs. Run via scripts/bench_dream.sh.
 //
-// An unreachable R² requirement forces Algorithm 1 to grow the window all
-// the way to the cap — the worst case for both engines and the regime
-// Example 3.1's thousands-of-QEPs workload cares about.
+//  - full_rank: four random features and an unreachable R² requirement,
+//    which forces both engines to grow the window all the way to the cap
+//    (32..2048) — the worst case for both.
+//  - serving_shape: the histories the service really fits. MidasSystem
+//    bootstraps Example 2.1 on the paper's two-site federation; for the
+//    fixed query each site's scanned MiB is constant, so every window's
+//    design matrix has rank 3 of 5. Default DREAM options (R²_require 0.8,
+//    M_max = all history) at 50..5,000 observations. Each row records both
+//    engines' chosen window and convergence; kBatch stops running once a
+//    single estimate exceeds a time budget.
+//
+// Bootstrapped histories come from randomly chosen plans, so their R² stays
+// low and both engines grow the window to the whole history. The serving
+// shape therefore also replays query feedback: scopes bootstrapped to 100
+// observations then serve RunQuery calls, whose recorded plans let windows
+// converge after a few observations, and both engines estimate after every
+// query. The serving shape is a correctness gate: the process exits nonzero
+// when the engines disagree on the window or on convergence anywhere.
+// `--quick` keeps only that gate — small histories and the feedback replay,
+// over two system seeds, untimed budget — for scripts/check.sh to run on
+// the default and force-scalar builds; its JSON goes to the build tree.
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "common/random.h"
-#include "regression/dream.h"
 #include "bench_env_common.h"
+#include "common/cpu_features.h"
+#include "common/random.h"
+#include "linalg/simd.h"
+#include "midas/medical.h"
+#include "midas/midas.h"
+#include "regression/dream.h"
 
 namespace midas {
 namespace {
 
-TrainingSet MakeHistory(size_t n) {
+/// kBatch is not timed at a serving-shape history longer than the first one
+/// where a single estimate took more than this.
+constexpr double kBatchBudgetSeconds = 2.0;
+
+/// The feedback replay: system seeds, bootstrap size and RunQuery calls.
+constexpr uint64_t kFeedbackSeeds[] = {2019, 7211};
+constexpr size_t kFeedbackBootstrap = 100;
+constexpr size_t kFeedbackQueries = 40;
+
+TrainingSet MakeFullRankHistory(size_t n) {
   TrainingSet set({"x1", "x2", "x3", "x4"}, {"seconds", "dollars"});
   Rng rng(1);
   for (size_t i = 0; i < n; ++i) {
@@ -38,7 +73,7 @@ TrainingSet MakeHistory(size_t n) {
 // Nanoseconds per estimate, adaptively iterated: keep running until the
 // total wall time passes min_total so fast paths get stable statistics,
 // but never fewer than one and never more than max_iters iterations (the
-// batch engine at cap 2048 takes tens of seconds per estimate).
+// batch engine at the longest histories takes seconds per estimate).
 double TimeEstimate(const Dream& dream, const TrainingSet& history,
                     double min_total_sec, size_t max_iters) {
   using clock = std::chrono::steady_clock;
@@ -54,31 +89,12 @@ double TimeEstimate(const Dream& dream, const TrainingSet& history,
   return elapsed * 1e9 / static_cast<double>(iters);
 }
 
-int Run(const char* out_path) {
-  // Open the sink before benchmarking: a bad path should fail in
-  // milliseconds, not after minutes of timing runs.
-  std::FILE* out = stdout;
-  if (out_path != nullptr) {
-    out = std::fopen(out_path, "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", out_path);
-      return 1;
-    }
-  }
+std::string FullRankSeries() {
   const std::vector<size_t> caps = {32, 128, 512, 2048};
-  std::string json = "{\n";
-  json += "  \"benchmark\": \"dream_window_growth\",\n";
-  json += "  \"git_commit\": \"" + GitCommitOrUnknown() + "\",\n";
-  json += "  \"features\": 4,\n";
-  json += "  \"metrics\": 2,\n";
-  json +=
-      "  \"setup\": \"unreachable r2_require forces Algorithm 1 to grow the "
-      "window to the cap; both engines see the same history\",\n";
-  json += "  \"unit\": \"ns_per_estimate\",\n";
-  json += "  \"results\": [\n";
+  std::string json;
   for (size_t i = 0; i < caps.size(); ++i) {
     const size_t cap = caps[i];
-    const TrainingSet history = MakeHistory(cap);
+    const TrainingSet history = MakeFullRankHistory(cap);
     DreamOptions options;
     options.r2_require = 2.0;  // unreachable: grow to the cap
     options.m_max = cap;
@@ -91,25 +107,287 @@ int Run(const char* out_path) {
 
     char row[256];
     std::snprintf(row, sizeof(row),
-                  "    {\"window_cap\": %zu, \"batch_ns\": %.0f, "
+                  "      {\"window_cap\": %zu, \"batch_ns\": %.0f, "
                   "\"incremental_ns\": %.0f, \"speedup\": %.1f}%s\n",
                   cap, batch_ns, incremental_ns, batch_ns / incremental_ns,
                   i + 1 < caps.size() ? "," : "");
     json += row;
-    std::fprintf(stderr, "cap %5zu: batch %12.0f ns  incremental %9.0f ns  "
-                 "speedup %.1fx\n",
+    std::fprintf(stderr,
+                 "full rank, cap %5zu: batch %12.0f ns  incremental %9.0f ns"
+                 "  speedup %.1fx\n",
                  cap, batch_ns, incremental_ns, batch_ns / incremental_ns);
   }
-  json += "  ]\n}\n";
+  return json;
+}
+
+struct ServingRow {
+  uint64_t seed = 0;
+  size_t history = 0;
+  size_t window = 0;
+  bool converged = false;
+  double incremental_ns = 0.0;
+  // Unset when kBatch was past its time budget.
+  std::optional<double> batch_ns;
+  size_t batch_window = 0;
+  bool batch_converged = false;
+};
+
+std::unique_ptr<MidasSystem> MakeServingSystem(uint64_t seed) {
+  Federation federation = Federation::PaperFederation();
+  PlaceMedicalTables(&federation).CheckOK();
+  MidasOptions options;
+  options.seed = seed;
+  return std::make_unique<MidasSystem>(
+      std::move(federation), MakeMedicalCatalog().ValueOrDie(), options);
+}
+
+const TrainingSet& ScopeHistory(MidasSystem& system, const std::string& scope) {
+  const Modelling& modelling = system.modelling();
+  return *modelling.history().Get(scope).ValueOrDie();
+}
+
+// Grows one Example 2.1 scope through `sizes` and estimates with both
+// engines at each; appends one row per size. Returns false on any
+// disagreement between the engines. `quick` times briefly and never skips
+// kBatch.
+bool ServingSeries(uint64_t seed, const std::vector<size_t>& sizes,
+                   bool quick, std::vector<ServingRow>* rows) {
+  const double min_seconds = quick ? 0.02 : 0.2;
+  std::unique_ptr<MidasSystem> system = MakeServingSystem(seed);
+  const QueryPlan query = MakeExample21Query().ValueOrDie();
+  const std::string scope = "example21";
+
+  DreamOptions options = system->options().estimator.dream;
+  bool batch_enabled = true;
+  bool agree = true;
+  size_t have = 0;
+  for (size_t size : sizes) {
+    system->Bootstrap(scope, query, size - have).CheckOK();
+    have = size;
+    const TrainingSet& set = ScopeHistory(*system, scope);
+
+    ServingRow row;
+    row.seed = seed;
+    row.history = size;
+    options.engine = DreamEngine::kIncremental;
+    const DreamEstimate incremental =
+        Dream(options).EstimateCostValue(set).ValueOrDie();
+    row.window = incremental.window_size;
+    row.converged = incremental.converged;
+    row.incremental_ns =
+        TimeEstimate(Dream(options), set, min_seconds, 1u << 20);
+
+    if (batch_enabled) {
+      options.engine = DreamEngine::kBatch;
+      const auto start = std::chrono::steady_clock::now();
+      const DreamEstimate batch =
+          Dream(options).EstimateCostValue(set).ValueOrDie();
+      const double once = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+      row.batch_window = batch.window_size;
+      row.batch_converged = batch.converged;
+      row.batch_ns = once >= min_seconds
+                         ? once * 1e9
+                         : TimeEstimate(Dream(options), set, min_seconds, 25);
+      if (row.batch_window != row.window ||
+          row.batch_converged != row.converged) {
+        std::fprintf(stderr,
+                     "ENGINE MISMATCH: seed %llu history %zu: incremental "
+                     "window %zu converged %d, batch window %zu converged "
+                     "%d\n",
+                     static_cast<unsigned long long>(seed), size, row.window,
+                     row.converged, row.batch_window, row.batch_converged);
+        agree = false;
+      }
+      if (!quick && once > kBatchBudgetSeconds) batch_enabled = false;
+    }
+    char batch[32] = "skipped (over budget)";
+    if (row.batch_ns) {
+      std::snprintf(batch, sizeof(batch), "%.0f ns", *row.batch_ns);
+    }
+    std::fprintf(stderr,
+                 "serving shape, seed %llu, history %5zu: window %5zu%s  "
+                 "incremental %10.0f ns  batch %s\n",
+                 static_cast<unsigned long long>(seed), size, row.window,
+                 row.converged ? " (converged)" : "", row.incremental_ns,
+                 batch);
+    rows->push_back(row);
+  }
+  return agree;
+}
+
+struct FeedbackTally {
+  size_t checks = 0;
+  size_t converged = 0;
+  size_t mismatches = 0;
+};
+
+// Bootstraps one scope to `bootstrap` observations, then serves `queries`
+// RunQuery calls on it (policy weights cycling 0.1..0.9) and compares the
+// engines' window and convergence on the scope's history after each.
+void FeedbackReplay(uint64_t seed, size_t bootstrap, size_t queries,
+                    FeedbackTally* tally) {
+  std::unique_ptr<MidasSystem> system = MakeServingSystem(seed);
+  const QueryPlan query = MakeExample21Query().ValueOrDie();
+  const std::string scope = "example21";
+  system->Bootstrap(scope, query, bootstrap).CheckOK();
+  DreamOptions incremental_options = system->options().estimator.dream;
+  incremental_options.engine = DreamEngine::kIncremental;
+  DreamOptions batch_options = incremental_options;
+  batch_options.engine = DreamEngine::kBatch;
+  for (size_t q = 0; q < queries; ++q) {
+    const double w = 0.1 * static_cast<double>(1 + q % 9);
+    QueryPolicy policy;
+    policy.weights = {w, 1.0 - w};
+    system->RunQuery(scope, query, policy).status().CheckOK();
+    const TrainingSet& set = ScopeHistory(*system, scope);
+    const DreamEstimate incremental =
+        Dream(incremental_options).EstimateCostValue(set).ValueOrDie();
+    const DreamEstimate batch =
+        Dream(batch_options).EstimateCostValue(set).ValueOrDie();
+    ++tally->checks;
+    if (incremental.converged) ++tally->converged;
+    if (incremental.window_size != batch.window_size ||
+        incremental.converged != batch.converged) {
+      std::fprintf(stderr,
+                   "ENGINE MISMATCH: seed %llu after query %zu: incremental "
+                   "window %zu converged %d, batch window %zu converged %d\n",
+                   static_cast<unsigned long long>(seed), q,
+                   incremental.window_size, incremental.converged,
+                   batch.window_size, batch.converged);
+      ++tally->mismatches;
+    }
+  }
+}
+
+std::string ServingRowsJson(const std::vector<ServingRow>& rows) {
+  std::string json;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const ServingRow& r = rows[i];
+    char batch[160] = "\"batch_ns\": null, \"batch_window\": null, "
+                      "\"batch_converged\": null, \"speedup\": null";
+    if (r.batch_ns) {
+      std::snprintf(batch, sizeof(batch),
+                    "\"batch_ns\": %.0f, \"batch_window\": %zu, "
+                    "\"batch_converged\": %s, \"speedup\": %.1f",
+                    *r.batch_ns, r.batch_window,
+                    r.batch_converged ? "true" : "false",
+                    *r.batch_ns / r.incremental_ns);
+    }
+    char row[384];
+    std::snprintf(row, sizeof(row),
+                  "      {\"seed\": %llu, \"history\": %zu, \"window\": %zu, "
+                  "\"converged\": %s, \"incremental_ns\": %.0f, %s}%s\n",
+                  static_cast<unsigned long long>(r.seed), r.history,
+                  r.window, r.converged ? "true" : "false", r.incremental_ns,
+                  batch, i + 1 < rows.size() ? "," : "");
+    json += row;
+  }
+  return json;
+}
+
+int Run(const char* out_path, bool quick) {
+  // Open the sink before benchmarking: a bad path should fail in
+  // milliseconds, not after minutes of timing runs.
+  std::FILE* out = stdout;
+  if (out_path != nullptr) {
+    out = std::fopen(out_path, "w");
+    if (out == nullptr) {
+      std::fprintf(stderr, "cannot open %s for writing\n", out_path);
+      return 1;
+    }
+  }
+  std::vector<ServingRow> serving;
+  bool agree = true;
+  if (quick) {
+    for (uint64_t seed : kFeedbackSeeds) {
+      agree = ServingSeries(seed, {50, 100, 150, 200}, true, &serving) &&
+              agree;
+    }
+  } else {
+    agree = ServingSeries(2019, {50, 100, 200, 500, 1000, 2000, 5000}, false,
+                          &serving);
+  }
+  FeedbackTally feedback;
+  for (uint64_t seed : kFeedbackSeeds) {
+    FeedbackReplay(seed, kFeedbackBootstrap, kFeedbackQueries, &feedback);
+  }
+  std::fprintf(stderr,
+               "feedback replay: %zu estimates, %zu converged, %zu engine "
+               "mismatches\n",
+               feedback.checks, feedback.converged, feedback.mismatches);
+  agree = agree && feedback.mismatches == 0;
+
+  std::string json = "{\n";
+  json += "  \"benchmark\": \"dream_window_growth\",\n";
+  json += "  \"git_commit\": \"" + GitCommitOrUnknown() + "\",\n";
+  json += "  \"mode\": \"" + std::string(quick ? "quick" : "full") + "\",\n";
+  json += "  \"simd_tier\": \"" +
+          std::string(SimdTierName(simd::ActiveTier())) + "\",\n";
+  json += "  \"hardware_concurrency\": " +
+          std::to_string(std::thread::hardware_concurrency()) + ",\n";
+  json += "  \"unit\": \"ns_per_estimate\",\n";
+  if (!quick) {
+    json += "  \"full_rank\": {\n";
+    json += "    \"features\": 4,\n";
+    json += "    \"metrics\": 2,\n";
+    json +=
+        "    \"setup\": \"unreachable r2_require forces Algorithm 1 to grow "
+        "the window to the cap; both engines see the same history\",\n";
+    json += "    \"results\": [\n" + FullRankSeries() + "    ]\n";
+    json += "  },\n";
+  }
+  json += "  \"serving_shape\": {\n";
+  json += "    \"features\": 4,\n";
+  json += "    \"metrics\": 2,\n";
+  json +=
+      "    \"setup\": \"MidasSystem::Bootstrap histories of Example 2.1 on "
+      "PaperFederation (per-site MiB constant: rank 3 of 5), default DREAM "
+      "options (r2_require 0.8, M_max = all history)\",\n";
+  if (!quick) {
+    char budget[96];
+    std::snprintf(budget, sizeof(budget),
+                  "    \"batch_budget_seconds\": %.1f,\n", kBatchBudgetSeconds);
+    json += budget;
+  }
+  json += "    \"engines_agree\": " + std::string(agree ? "true" : "false") +
+          ",\n";
+  json += "    \"results\": [\n" + ServingRowsJson(serving) + "    ],\n";
+  char replay[256];
+  std::snprintf(replay, sizeof(replay),
+                "    \"feedback_replay\": {\"seeds\": [%llu, %llu], "
+                "\"bootstrap\": %zu, \"queries_per_seed\": %zu, "
+                "\"estimates\": %zu, \"converged\": %zu, "
+                "\"mismatches\": %zu}\n",
+                static_cast<unsigned long long>(kFeedbackSeeds[0]),
+                static_cast<unsigned long long>(kFeedbackSeeds[1]),
+                kFeedbackBootstrap, kFeedbackQueries, feedback.checks,
+                feedback.converged, feedback.mismatches);
+  json += replay;
+  json += "  }\n}\n";
 
   std::fputs(json.c_str(), out);
   if (out != stdout) std::fclose(out);
-  return 0;
+  return agree ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace midas
 
 int main(int argc, char** argv) {
-  return midas::Run(argc > 1 ? argv[1] : nullptr);
+  const char* out_path = nullptr;
+  bool quick = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--quick") {
+      quick = true;
+    } else if (out_path == nullptr) {
+      out_path = argv[i];
+    } else {
+      std::fprintf(stderr, "usage: %s [output.json] [--quick]\n", argv[0]);
+      return 2;
+    }
+  }
+  return midas::Run(out_path, quick);
 }

@@ -57,7 +57,7 @@ BENCHMARK(BM_DreamEstimate)->Arg(12)->Arg(50)->Arg(200);
 
 // Worst-case window growth: an unreachable R² requirement forces Algorithm 1
 // all the way to the cap, which is where the batch refit-from-scratch loop
-// (O(Σ_m m·L²) per metric) and the incremental rank-1 engine (O(L³ + N·L²)
+// (O(Σ_m m·L²) per metric) and the incremental QR engine (O(L³ + N·L²)
 // per window) diverge the most. Same history, same windows, same models.
 DreamOptions FullGrowthOptions(size_t cap, DreamEngine engine) {
   DreamOptions options;

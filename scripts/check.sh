@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: builds the default, asan, ubsan and tsan presets and runs
 # the full test suite under each, so numerically delicate code (e.g. the
-# rank-1 normal-equation updates behind DREAM's incremental engine and the
+# Givens-updated QR factor behind DREAM's incremental engine and the
 # blocked GEMM kernels) is sanitizer-verified on every change and the
 # thread-pool / parallel MOQP / striped-cache paths are race-checked under
 # ThreadSanitizer. The streaming-pipeline equivalence suites (fast
@@ -60,5 +60,16 @@ echo "=== bench: vectorized engine cross-check (--quick) ==="
 "$repo_root/scripts/bench_engine.sh" --quick
 echo "=== bench: vectorized engine cross-check, force-scalar (--quick) ==="
 BUILD_DIR="$repo_root/build-force-scalar" "$repo_root/scripts/bench_engine.sh" --quick
+
+# DREAM engine cross-check: the quick bench fits Example 2.1 serving
+# histories (rank deficient: constant per-site MiB columns) with both
+# engines, including a RunQuery feedback replay whose windows converge, and
+# exits nonzero unless the incremental engine picks the batch reference's
+# window and convergence flag every time. Run against the default preset
+# (dispatched SIMD kernels) and the force-scalar preset.
+echo "=== bench: DREAM engine cross-check (--quick) ==="
+"$repo_root/scripts/bench_dream.sh" --quick
+echo "=== bench: DREAM engine cross-check, force-scalar (--quick) ==="
+BUILD_DIR="$repo_root/build-force-scalar" "$repo_root/scripts/bench_dream.sh" --quick
 
 echo "=== all presets green ==="

@@ -1,7 +1,10 @@
 #include "linalg/decomposition.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
+#include "common/logging.h"
 #include "linalg/simd.h"
 
 namespace midas {
@@ -82,88 +85,98 @@ StatusOr<QrDecomposition> HouseholderQr(const Matrix& a, double tolerance) {
   return QrDecomposition{std::move(q_thin), std::move(r_thin)};
 }
 
-StatusOr<PivotedQr> HouseholderQrPivoted(const Matrix& a, double tolerance) {
-  const size_t m = a.rows();
-  const size_t n = a.cols();
-  if (m < n) {
-    return Status::InvalidArgument("QR requires rows >= cols");
-  }
-  if (n == 0) {
-    return Status::InvalidArgument("QR of empty matrix");
-  }
-  Matrix r = a;
-  Matrix q = Matrix::Identity(m);
-  std::vector<size_t> perm(n);
-  for (size_t j = 0; j < n; ++j) perm[j] = j;
+size_t PivotedQrInPlace(Matrix* a, Matrix* rhs,
+                        std::vector<size_t>* permutation, double tolerance) {
+  const size_t m = a->rows();
+  const size_t n = a->cols();
+  const size_t k_rhs = rhs == nullptr ? 0 : rhs->cols();
+  MIDAS_CHECK(rhs == nullptr || rhs->rows() == m)
+      << "pivoted QR: right-hand sides have " << rhs->rows() << " rows, "
+      << "matrix has " << m;
+  permutation->resize(n);
+  std::iota(permutation->begin(), permutation->end(), size_t{0});
+  if (m == 0 || n == 0) return 0;
+  // Both operands are dense row-major buffers.
+  double* const base = a->RowData(0);
+  auto at = [base, n](size_t i, size_t j) -> double& {
+    return base[i * n + j];
+  };
+  double* const rhs_base = k_rhs > 0 ? rhs->RowData(0) : nullptr;
 
-  // Running squared column norms for pivot selection.
-  std::vector<double> col_norms(n, 0.0);
-  for (size_t j = 0; j < n; ++j) {
-    for (size_t i = 0; i < m; ++i) col_norms[j] += r.At(i, j) * r.At(i, j);
+  // Squared column norms, downdated after every step to pick the pivots.
+  std::vector<double> norms(n, 0.0);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) norms[j] += at(i, j) * at(i, j);
   }
+  // Per step: the reflector's scaled dot with every trailing column of *a,
+  // then with every right-hand side.
+  std::vector<double> f(n + k_rhs);
 
-  size_t rank = n;
+  const size_t steps = std::min(m, n);
   double first_pivot = 0.0;
-  for (size_t k = 0; k < n; ++k) {
-    // Pivot: bring the column with the largest remaining norm to front.
+  for (size_t k = 0; k < steps; ++k) {
     size_t pivot = k;
     for (size_t j = k + 1; j < n; ++j) {
-      if (col_norms[j] > col_norms[pivot]) pivot = j;
+      if (norms[j] > norms[pivot]) pivot = j;
     }
     if (pivot != k) {
-      for (size_t i = 0; i < m; ++i) {
-        std::swap(r.At(i, k), r.At(i, pivot));
-      }
-      std::swap(col_norms[k], col_norms[pivot]);
-      std::swap(perm[k], perm[pivot]);
+      for (size_t i = 0; i < m; ++i) std::swap(at(i, k), at(i, pivot));
+      std::swap(norms[k], norms[pivot]);
+      std::swap((*permutation)[k], (*permutation)[pivot]);
     }
     double norm = 0.0;
-    for (size_t i = k; i < m; ++i) norm += r.At(i, k) * r.At(i, k);
+    for (size_t i = k; i < m; ++i) norm += at(i, k) * at(i, k);
     norm = std::sqrt(norm);
     if (k == 0) first_pivot = norm;
-    if (norm <= tolerance * std::max(first_pivot, 1.0)) {
-      rank = k;
-      break;
-    }
-    const double alpha = r.At(k, k) >= 0 ? -norm : norm;
-    Vector v(m, 0.0);
-    v[k] = r.At(k, k) - alpha;
-    for (size_t i = k + 1; i < m; ++i) v[i] = r.At(i, k);
+    if (norm <= tolerance * std::max(first_pivot, 1.0)) return k;
+
+    // Reflector H = I - 2 v vᵀ / (vᵀv) with v = column k below the
+    // diagonal, its head shifted by -alpha; v lives in column k meanwhile.
+    const double alpha = at(k, k) >= 0 ? -norm : norm;
+    at(k, k) -= alpha;
     double vtv = 0.0;
-    for (size_t i = k; i < m; ++i) vtv += v[i] * v[i];
-    if (vtv > 0.0) {
-      for (size_t j = k; j < n; ++j) {
-        double dot = 0.0;
-        for (size_t i = k; i < m; ++i) dot += v[i] * r.At(i, j);
-        const double f = 2.0 * dot / vtv;
-        for (size_t i = k; i < m; ++i) r.At(i, j) -= f * v[i];
-      }
-      for (size_t j = 0; j < m; ++j) {
-        double dot = 0.0;
-        for (size_t i = k; i < m; ++i) dot += v[i] * q.At(j, i);
-        const double f = 2.0 * dot / vtv;
-        for (size_t i = k; i < m; ++i) q.At(j, i) -= f * v[i];
+    for (size_t i = k; i < m; ++i) vtv += at(i, k) * at(i, k);
+    std::fill(f.begin(), f.end(), 0.0);
+    for (size_t i = k; i < m; ++i) {
+      const double vi = at(i, k);
+      for (size_t j = k + 1; j < n; ++j) f[j] += vi * at(i, j);
+      for (size_t c = 0; c < k_rhs; ++c) {
+        f[n + c] += vi * rhs_base[i * k_rhs + c];
       }
     }
+    for (size_t j = k + 1; j < f.size(); ++j) f[j] = 2.0 * f[j] / vtv;
+    for (size_t i = k; i < m; ++i) {
+      const double vi = at(i, k);
+      for (size_t j = k + 1; j < n; ++j) at(i, j) -= f[j] * vi;
+      for (size_t c = 0; c < k_rhs; ++c) {
+        rhs_base[i * k_rhs + c] -= f[n + c] * vi;
+      }
+      at(i, k) = 0.0;
+    }
+    at(k, k) = alpha;
+
     // Downdate the remaining column norms.
     for (size_t j = k + 1; j < n; ++j) {
-      col_norms[j] -= r.At(k, j) * r.At(k, j);
-      if (col_norms[j] < 0.0) col_norms[j] = 0.0;
+      norms[j] -= at(k, j) * at(k, j);
+      if (norms[j] < 0.0) norms[j] = 0.0;
     }
   }
+  return steps;
+}
 
-  PivotedQr out;
-  out.permutation = std::move(perm);
-  out.rank = rank;
-  out.q = Matrix(m, n);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < n; ++j) out.q.At(i, j) = q.At(i, j);
+void PivotedBackSolve(const Matrix& r, const Matrix& qt_rhs, size_t column,
+                      const std::vector<size_t>& permutation, size_t rank,
+                      Vector* x) {
+  x->assign(r.cols(), 0.0);
+  // Back substitution on the rank x rank leading block, each unknown
+  // stored straight at its original column.
+  for (size_t ii = rank; ii-- > 0;) {
+    double sum = qt_rhs.At(ii, column);
+    for (size_t j = ii + 1; j < rank; ++j) {
+      sum -= r.At(ii, j) * (*x)[permutation[j]];
+    }
+    (*x)[permutation[ii]] = sum / r.At(ii, ii);
   }
-  out.r = Matrix(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i; j < n; ++j) out.r.At(i, j) = r.At(i, j);
-  }
-  return out;
 }
 
 StatusOr<Vector> PivotedLeastSquaresSolve(const Matrix& a, const Vector& b,
@@ -171,26 +184,21 @@ StatusOr<Vector> PivotedLeastSquaresSolve(const Matrix& a, const Vector& b,
   if (a.rows() != b.size()) {
     return Status::InvalidArgument("least-squares shape mismatch");
   }
-  MIDAS_ASSIGN_OR_RETURN(PivotedQr qr, HouseholderQrPivoted(a, tolerance));
-  if (qr.rank == 0) {
+  if (a.rows() < a.cols()) {
+    return Status::InvalidArgument("QR requires rows >= cols");
+  }
+  if (a.cols() == 0) {
+    return Status::InvalidArgument("QR of empty matrix");
+  }
+  Matrix r = a;
+  Matrix qtb = Matrix::FromColumn(b);
+  std::vector<size_t> permutation;
+  const size_t rank = PivotedQrInPlace(&r, &qtb, &permutation, tolerance);
+  if (rank == 0) {
     return Status::InvalidArgument("zero matrix in least squares");
   }
-  const size_t n = a.cols();
-  // z = (Qᵀ b) restricted to the leading rank rows.
-  MIDAS_ASSIGN_OR_RETURN(Vector qtb, qr.q.Transpose().MultiplyVector(b));
-  // Back substitution on the rank x rank leading block.
-  Vector z(qr.rank, 0.0);
-  for (size_t ii = qr.rank; ii-- > 0;) {
-    double sum = qtb[ii];
-    for (size_t j = ii + 1; j < qr.rank; ++j) sum -= qr.r.At(ii, j) * z[j];
-    const double d = qr.r.At(ii, ii);
-    if (std::abs(d) < 1e-300) {
-      return Status::Internal("pivoted QR produced a zero pivot");
-    }
-    z[ii] = sum / d;
-  }
-  Vector x(n, 0.0);
-  for (size_t j = 0; j < qr.rank; ++j) x[qr.permutation[j]] = z[j];
+  Vector x;
+  PivotedBackSolve(r, qtb, 0, permutation, rank, &x);
   return x;
 }
 
@@ -244,54 +252,6 @@ StatusOr<Matrix> CholeskyFactor(const Matrix& a, double tolerance) {
     }
   }
   return l;
-}
-
-Status CholeskyFactorInto(const Matrix& a, Matrix* l, double rel_tolerance) {
-  const size_t n = a.rows();
-  if (a.cols() != n) {
-    return Status::InvalidArgument("Cholesky requires a square matrix");
-  }
-  if (l->rows() != n || l->cols() != n) *l = Matrix(n, n);
-  double scale = 1.0;
-  for (size_t i = 0; i < n; ++i) scale = std::max(scale, std::abs(a.At(i, i)));
-  const double pivot_floor = rel_tolerance * scale;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      const double sum =
-          CholeskyRowDot(l->RowData(i), l->RowData(j), j, a.At(i, j));
-      if (i == j) {
-        if (sum < pivot_floor) {
-          return Status::InvalidArgument(
-              "matrix is numerically not positive definite");
-        }
-        l->At(i, i) = std::sqrt(sum);
-      } else {
-        l->At(i, j) = sum / l->At(j, j);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status CholeskySolveFactored(const Matrix& l, const Vector& b, Vector* x) {
-  const size_t n = l.rows();
-  if (l.cols() != n || b.size() != n) {
-    return Status::InvalidArgument("factored Cholesky solve shape mismatch");
-  }
-  x->assign(n, 0.0);
-  // Forward solve L y = b (y aliases x); row prefixes are contiguous, so
-  // the inner product runs through the kernel layer.
-  for (size_t i = 0; i < n; ++i) {
-    const double sum = CholeskyRowDot(l.RowData(i), x->data(), i, b[i]);
-    (*x)[i] = sum / l.At(i, i);
-  }
-  // Back solve Lᵀ x = y in place.
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = (*x)[ii];
-    for (size_t k = ii + 1; k < n; ++k) sum -= l.At(k, ii) * (*x)[k];
-    (*x)[ii] = sum / l.At(ii, ii);
-  }
-  return Status::OK();
 }
 
 StatusOr<Vector> CholeskySolve(const Matrix& a, const Vector& b,

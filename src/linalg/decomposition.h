@@ -1,6 +1,8 @@
 #ifndef MIDAS_LINALG_DECOMPOSITION_H_
 #define MIDAS_LINALG_DECOMPOSITION_H_
 
+#include <vector>
+
 #include "linalg/matrix.h"
 
 namespace midas {
@@ -19,22 +21,39 @@ struct QrDecomposition {
 StatusOr<QrDecomposition> HouseholderQr(const Matrix& a,
                                         double tolerance = 1e-12);
 
-/// \brief Rank-revealing QR with column pivoting: A P = Q R, where P is a
-/// permutation and R's diagonal is non-increasing in magnitude. `rank` is
-/// the number of diagonal entries above tolerance · |R(0,0)|.
-struct PivotedQr {
-  Matrix q;                      // m x n, orthonormal columns
-  Matrix r;                      // n x n upper triangular
-  std::vector<size_t> permutation;  // column j of A P is A column perm[j]
-  size_t rank = 0;
-};
+/// \brief Householder QR with column pivoting, in place — the one pivot
+/// rule behind every rank-revealing solve here (PivotedLeastSquaresSolve,
+/// hence FitOls, and IncrementalOls::FitAll).
+///
+/// Overwrites *a (m x n) with Qᵀ A P and the m x k block *rhs (null for
+/// none) with Qᵀ rhs, applying each reflector to both; Q is never formed.
+/// Step k brings the column with the largest remaining norm to position k
+/// (ties keep the leftmost) and stops once that norm is at most
+/// tolerance · max(first pivot, 1); the number of steps taken is returned
+/// as the numerical rank. (*permutation)[j] is the column of A now in
+/// position j.
+///
+/// On return the leading rank rows of *a hold R's upper-triangular block,
+/// with non-increasing |R(k,k)|, and columns [0, rank) are zero below the
+/// diagonal. The trailing rows [rank, m) of columns [rank, n) hold the
+/// unreduced remainder, below the cut, so the basic solution (zeros on the
+/// dependent columns; see PivotedBackSolve) leaves exactly rows
+/// [rank, m) of Qᵀ rhs as its residual.
+size_t PivotedQrInPlace(Matrix* a, Matrix* rhs,
+                        std::vector<size_t>* permutation,
+                        double tolerance = 1e-10);
 
-StatusOr<PivotedQr> HouseholderQrPivoted(const Matrix& a,
-                                         double tolerance = 1e-10);
+/// The basic least-squares solution after PivotedQrInPlace: back-solves the
+/// leading rank x rank block of R against column `column` of the reduced
+/// right-hand sides and writes it through the permutation into *x (length
+/// r.cols()), with zeros on the columns the rank cut dropped.
+void PivotedBackSolve(const Matrix& r, const Matrix& qt_rhs, size_t column,
+                      const std::vector<size_t>& permutation, size_t rank,
+                      Vector* x);
 
 /// Minimum-residual least-squares solve via pivoted QR: rank-deficient
 /// systems get the basic solution (zero coefficients on the dependent
-/// columns) instead of an error.
+/// columns) instead of an error. Requires a.rows() >= a.cols().
 StatusOr<Vector> PivotedLeastSquaresSolve(const Matrix& a, const Vector& b,
                                           double tolerance = 1e-10);
 
@@ -50,22 +69,6 @@ StatusOr<Vector> LeastSquaresSolve(const Matrix& a, const Vector& b,
 /// Cholesky factorisation of a symmetric positive-definite matrix: A = L Lᵀ.
 /// Fails (InvalidArgument) when A is not positive definite.
 StatusOr<Matrix> CholeskyFactor(const Matrix& a, double tolerance = 1e-12);
-
-/// Cholesky factorisation into a caller-owned buffer: writes L's lower
-/// triangle into *l (resized only when the shape is wrong), so repeated
-/// factorisations of same-sized matrices allocate nothing. The pivot
-/// tolerance is *relative* to max(|diag(a)|, 1), which keeps the
-/// positive-definiteness test meaningful for Gram matrices of arbitrary
-/// feature magnitude; near-singular inputs fail instead of producing
-/// explosive factors. *l's strict upper triangle is left unspecified —
-/// only the factored solvers below may consume it.
-Status CholeskyFactorInto(const Matrix& a, Matrix* l,
-                          double rel_tolerance = 1e-10);
-
-/// Solves L Lᵀ x = b given a Cholesky factor produced by CholeskyFactor /
-/// CholeskyFactorInto, writing into *x (resized as needed). Reads only L's
-/// lower triangle. O(n²), no allocation when x is already the right size.
-Status CholeskySolveFactored(const Matrix& l, const Vector& b, Vector* x);
 
 /// Solves A x = b for symmetric positive-definite A via Cholesky.
 StatusOr<Vector> CholeskySolve(const Matrix& a, const Vector& b,

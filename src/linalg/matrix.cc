@@ -66,6 +66,11 @@ const double* Matrix::RowData(size_t r) const {
   return data_.data() + r * cols_;
 }
 
+double* Matrix::RowData(size_t r) {
+  MIDAS_CHECK(r < rows_) << "row " << r << " out of range for " << rows_;
+  return data_.data() + r * cols_;
+}
+
 Vector Matrix::Row(size_t r) const {
   MIDAS_CHECK(r < rows_);
   return Vector(data_.begin() + static_cast<ptrdiff_t>(r * cols_),
@@ -126,17 +131,6 @@ StatusOr<Vector> Matrix::TransposeTimesVector(const Vector& v) const {
     simd::Axpy(vr, data_.data() + r * cols_, out.data(), cols_);
   }
   return out;
-}
-
-void Matrix::AddOuterProduct(const Vector& v) {
-  MIDAS_CHECK(rows_ == cols_ && rows_ == v.size())
-      << "outer-product update needs a square matrix of side " << v.size()
-      << ", have " << rows_ << "x" << cols_;
-  for (size_t i = 0; i < rows_; ++i) {
-    const double vi = v[i];
-    if (vi == 0.0) continue;
-    simd::Axpy(vi, v.data(), data_.data() + i * cols_, cols_);
-  }
 }
 
 void Matrix::Resize(size_t rows, size_t cols, double fill) {

@@ -73,9 +73,11 @@ class Matrix {
   void SetRow(size_t r, const Vector& values);
 
   /// Borrowed pointer to row r's cols() contiguous elements — the zero-copy
-  /// row view the batch prediction loops iterate with. Invalidated by any
+  /// row view the batch prediction loops iterate with, and the writable one
+  /// in-place kernels such as PivotedQrInPlace update. Invalidated by any
   /// reassignment of the matrix.
   const double* RowData(size_t r) const;
+  double* RowData(size_t r);
 
   Matrix Transpose() const;
 
@@ -87,11 +89,6 @@ class Matrix {
 
   /// Aᵀv (length cols) without materializing the transpose.
   StatusOr<Vector> TransposeTimesVector(const Vector& v) const;
-
-  /// Rank-1 symmetric update: *this += v vᵀ. Requires a square matrix of
-  /// side v.size() (checked). This is the O(n²) step that lets a Gram
-  /// matrix grow one observation at a time.
-  void AddOuterProduct(const Vector& v);
 
   StatusOr<Matrix> Multiply(const Matrix& other) const;
 

@@ -101,8 +101,9 @@ DreamEstimate Dream::MakeWindowEstimate(std::vector<OlsModel> models,
 
 namespace {
 
-// Rank-revealing batch fit of every metric over the window; false when any
-// metric's fit fails (degenerate window — the caller keeps growing).
+// The reference engine's window fit: batch FitOls per metric over a copy
+// of the window; false when any metric's fit fails (degenerate window —
+// the caller keeps growing).
 bool FitWindowBatch(const TrainingWindow& window, size_t n_metrics,
                     const OlsOptions& options, std::vector<OlsModel>* out) {
   out->clear();
@@ -123,9 +124,9 @@ StatusOr<DreamEstimate> Dream::EstimateIncremental(const TrainingSet& history,
   const size_t n_metrics = history.num_metrics();
   MIDAS_ASSIGN_OR_RETURN(TrainingWindow window, history.RecentWindow(m_cap));
   // window.at(0) is the *oldest* observation any window up to the cap can
-  // use; the window of size m covers indices [m_cap - m, m_cap). The
-  // normal-equation statistics are order independent, so growing m by one
-  // feeds the engine the next *older* observation — each exactly once.
+  // use; the window of size m covers indices [m_cap - m, m_cap). A least-
+  // squares fit does not depend on row order, so growing m by one feeds
+  // the engine the next *older* observation — each exactly once.
   IncrementalOls engine(history.num_features(), n_metrics);
   for (size_t i = m_cap - m_min; i < m_cap; ++i) {
     MIDAS_RETURN_IF_ERROR(engine.Add(window.features(i), window.at(i).costs));
@@ -138,10 +139,7 @@ StatusOr<DreamEstimate> Dream::EstimateIncremental(const TrainingSet& history,
       MIDAS_RETURN_IF_ERROR(engine.Add(window.features(next_older),
                                        window.at(next_older).costs));
     }
-    if (!engine.FitAll(&models).ok() &&
-        // Shared Gram matrix numerically singular (collinear or constant
-        // feature): this window needs the rank-revealing batch path.
-        !FitWindowBatch(window.Newest(m), n_metrics, options_.ols, &models)) {
+    if (!engine.FitAll(&models).ok()) {
       continue;  // degenerate window: keep growing
     }
     best = MakeWindowEstimate(std::move(models), m);

@@ -10,12 +10,13 @@ namespace midas {
 
 /// \brief Which fitting engine backs Algorithm 1's window growth.
 enum class DreamEngine {
-  /// Maintains the shared normal-equation statistics (XᵀX once for all
-  /// metrics, Xᵀy/Σy/Σy² per metric) and grows the window via rank-1
-  /// updates: O(L² + N·L) per added observation and O(L³ + N·L²) per
-  /// window solve, independent of the window size m. Numerically singular
-  /// windows (collinear or constant features) fall back to the
-  /// rank-revealing batch fit below. This is the default.
+  /// Keeps one QR factor of the window's design matrix for all metrics
+  /// (IncrementalOls) and grows the window by Givens-rotating each older
+  /// observation into it: O(L² + N·L) per added observation and
+  /// O(L³ + N·L²) per window fit, independent of the window size m. The
+  /// fit is rank revealing with FitOls's pivot rule, so windows with
+  /// constant or collinear features stay on this path. This is the
+  /// default.
   kIncremental,
   /// Refits every window from scratch with batch FitOls (pivoted QR per
   /// metric over the m window rows) — the original implementation, kept as

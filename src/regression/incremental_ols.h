@@ -7,31 +7,29 @@
 
 namespace midas {
 
-/// \brief Incremental multi-metric OLS over a growing observation window.
+/// \brief Incremental multi-metric OLS over a growing observation window,
+/// by a QR factorisation updated one row at a time.
 ///
-/// Maintains the sufficient statistics of the normal equations instead of
-/// the observations themselves:
+/// Keeps the triangular factor of the window instead of the observations:
 ///
-///   - XᵀX  — the (L+1)x(L+1) Gram matrix of the design matrix (leading
-///            ones column + features), shared by *all* N metrics because
-///            they regress on the same features,
-///   - Xᵀy, Σy, Σy² — one triple per metric.
+///   - R — the (L+1)x(L+1) upper-triangular factor of the design matrix
+///         X = [1 | features] (X = Q R, Q never formed), shared by *all* N
+///         metrics because they regress on the same features. RᵀR = XᵀX,
+///         so R's column norms are X's;
+///   - per metric: the head z = (Qᵀy)[0, L] and the residual sum of squares
+///     the rotations have already split off, plus a running mean/M2
+///     (Welford) for SST and Σy².
 ///
-/// Adding one observation is a rank-1 update: O(L²) on the shared Gram
-/// matrix plus O(N·L) on the per-metric moments. Fitting at the current
-/// window is one Cholesky factorisation of XᵀX — O(L³), shared across
-/// metrics — followed by N O(L²) triangular solves; SSE and SST come out
-/// algebraically (SSE = Σy² − βᵀXᵀy, SST = Σy² − (Σy)²/m) without
-/// re-predicting the m window rows. Growing a window from M to M_max
-/// therefore costs O(m·(L² + N·L) ) in updates plus O(m·(L³ + N·L²)) in
-/// solves — independent of the window contents' length m per step, unlike
-/// a batch refit whose per-step cost itself grows with m.
-///
-/// The price of the normal equations is numerical: a collinear or constant
-/// feature makes XᵀX singular, and conditioning is squared relative to a QR
-/// on X. Fit() reports that as a Status failure (the Cholesky pivot check is
-/// relative to the Gram diagonal), and callers such as Dream fall back to
-/// the rank-revealing batch FitOls for that window.
+/// Adding one observation rotates its row into R with L+1 Givens rotations
+/// and applies each to every metric's (z, y) pair: O(L² + N·L). Fitting at
+/// the current window runs PivotedQrInPlace — FitOls's pivot rule and rank
+/// cut — on a copy of R with the N heads as right-hand sides, O(L³ + N·L²),
+/// and back-solves the basic solution. A feature that is constant or
+/// collinear over the window (the per-site data sizes of a fixed query,
+/// say) gets a zero coefficient exactly as in FitOls instead of failing the
+/// fit. SSE is the split-off residual plus the dropped tail of the reduced
+/// heads, so neither Add nor FitAll ever revisits the m window rows, and
+/// the conditioning is that of X, not of XᵀX.
 class IncrementalOls {
  public:
   /// \param num_features L — length of each feature vector.
@@ -43,7 +41,7 @@ class IncrementalOls {
   /// Number of observations accumulated so far (the current window size m).
   size_t size() const { return num_observations_; }
 
-  /// Rank-1 update with one observation. Fails on arity mismatch.
+  /// Rotates one observation into the factor. Fails on arity mismatch.
   Status Add(const Vector& features, const Vector& costs);
 
   /// Drops all accumulated statistics; dimensions are kept and the
@@ -51,9 +49,9 @@ class IncrementalOls {
   void Reset();
 
   /// Fits all N metrics at the current window. Requires size() >= L + 2
-  /// (the same statistical minimum as batch FitOls). Fails when the shared
-  /// Gram matrix is numerically rank deficient; the caller decides whether
-  /// to fall back to a rank-revealing batch fit or grow the window.
+  /// (the same statistical minimum as batch FitOls); rank-deficient
+  /// windows fit like any other, with FitOls's rank, pivot order and zero
+  /// coefficients on the dropped columns.
   ///
   /// On success appends one OlsModel per metric (in metric order) to *out,
   /// which is cleared first.
@@ -64,15 +62,20 @@ class IncrementalOls {
   size_t num_metrics_;
   size_t num_observations_ = 0;
 
-  Matrix gram_;                    // XᵀX, (L+1)x(L+1), shared across metrics
-  std::vector<Vector> xty_;        // per metric, length L+1
-  Vector sum_y_;                   // per metric, Σy
-  Vector sum_yy_;                  // per metric, Σy²
+  Matrix r_;        // R, (L+1)x(L+1) upper triangular, shared across metrics
+  Matrix heads_;    // (L+1) x N: column k is metric k's (Qᵀy)[0, L]
+  Vector rss_;      // per metric, residual split off by the rotations
+  Vector mean_y_;   // per metric, running mean of y
+  Vector m2_y_;     // per metric, running Σ(y - mean)² — the SST
+  Vector sum_yy_;   // per metric, Σy²
 
   // Scratch reused across Add/FitAll calls so the steady state allocates
   // only the per-model coefficient vectors it hands out.
-  mutable Vector design_row_;      // [1, x₁, .., x_L]
-  mutable Matrix chol_;            // Cholesky factor buffer
+  Vector design_row_;                       // [1, x₁, .., x_L], rotated away
+  Vector y_;                                // costs, rotated into residuals
+  mutable Matrix reduced_r_;                // copy of R that FitAll reduces
+  mutable Matrix reduced_heads_;            // copy of the heads, likewise
+  mutable std::vector<size_t> permutation_;
 };
 
 }  // namespace midas

@@ -85,7 +85,8 @@ class TrainingWindow {
   TrainingWindow Newest(size_t m) const;
 
   /// Materialized copies for consumers of the batch OLS interface (the
-  /// rank-revealing fallback path); the hot path never calls these.
+  /// reference DreamEngine::kBatch); the default incremental engine never
+  /// calls these.
   std::vector<Vector> CopyFeatures() const;
   Vector CopyCosts(size_t metric) const;
 

@@ -1,12 +1,24 @@
-// Cross-component equivalence and consistency checks.
+// Cross-component equivalence and consistency checks, including both
+// DREAM engines on the histories the serving path really fits: there the
+// incremental engine's rank-revealing QR must reproduce the batch
+// reference's window, convergence, R² and predicted plan costs.
+
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ires/features.h"
 #include "ires/modelling.h"
+#include "midas/medical.h"
+#include "midas/midas.h"
 #include "optimizer/best_in_pareto.h"
 #include "ml/least_squares.h"
 #include "optimizer/pareto.h"
 #include "optimizer/wsm.h"
+#include "query/enumerator.h"
 #include "regression/dream.h"
 
 namespace midas {
@@ -15,9 +27,9 @@ namespace {
 // DREAM stopped at window m must predict what a plain OLS fit on the
 // newest m observations predicts — Algorithm 1 is windowed MLR, no more.
 // The batch engine goes through FitOls itself, so it matches bitwise; the
-// default incremental engine solves the same normal equations via
-// Cholesky and computes R² algebraically, so it matches to numerical
-// precision.
+// default incremental engine solves the same least-squares problem from a
+// Givens-updated QR factor and takes SSE from it, so it matches to
+// numerical precision.
 TEST(EquivalenceTest, DreamMatchesOlsAtItsWindow) {
   Rng rng(3);
   TrainingSet set({"x1", "x2"}, {"c"});
@@ -120,6 +132,72 @@ TEST(EquivalenceTest, ModellingDreamMatchesRawDream) {
   Dream raw(config.dream);
   auto raw_pred = raw.PredictCosts(mirror, probe).ValueOrDie();
   EXPECT_DOUBLE_EQ(module_pred[0], raw_pred[0]);
+}
+
+// Both engines on MidasSystem::Bootstrap histories: Example 2.1 on the
+// paper's two-site federation, 8 scopes of 100-150 observations, under the
+// default DREAM options. For the fixed query each site's scanned MiB is
+// constant, so every window's design matrix is rank deficient. The
+// engines must pick the same window with the same verdict, agree on R² to
+// 1e-8 and predict every one of the 96 candidate plans to 1e-9 relative.
+TEST(DreamEngineEquivalenceTest, ServingHistoriesMatchBatch) {
+  Federation federation = Federation::PaperFederation();
+  ASSERT_TRUE(PlaceMedicalTables(&federation).ok());
+  MidasSystem system(std::move(federation), MakeMedicalCatalog().ValueOrDie());
+  const QueryPlan query = MakeExample21Query().ValueOrDie();
+  constexpr size_t kScopes = 8;
+  for (size_t s = 0; s < kScopes; ++s) {
+    ASSERT_TRUE(system
+                    .Bootstrap("s" + std::to_string(s), query,
+                               100 + 50 * s / (kScopes - 1))
+                    .ok());
+  }
+  PlanEnumerator enumerator(&system.federation(), &system.catalog(),
+                            system.options().moqp.enumerator);
+  const std::vector<QueryPlan> plans =
+      enumerator.EnumeratePhysical(query).ValueOrDie();
+  ASSERT_EQ(plans.size(), 96u);
+  std::vector<Vector> features;
+  for (const QueryPlan& plan : plans) {
+    features.push_back(ExtractFeatures(system.federation(), plan).ValueOrDie());
+  }
+  const Matrix candidates = Matrix::FromRows(features).ValueOrDie();
+
+  DreamOptions incremental_options = system.options().estimator.dream;
+  incremental_options.engine = DreamEngine::kIncremental;
+  DreamOptions batch_options = incremental_options;
+  batch_options.engine = DreamEngine::kBatch;
+  const History& history =
+      static_cast<const Modelling&>(system.modelling()).history();
+  for (size_t s = 0; s < kScopes; ++s) {
+    const std::string scope = "s" + std::to_string(s);
+    const TrainingSet* set = history.Get(scope).ValueOrDie();
+    auto incremental =
+        Dream(incremental_options).EstimateCostValue(*set).ValueOrDie();
+    auto batch = Dream(batch_options).EstimateCostValue(*set).ValueOrDie();
+    EXPECT_EQ(incremental.window_size, batch.window_size) << scope;
+    EXPECT_EQ(incremental.converged, batch.converged) << scope;
+    for (const OlsModel& model : incremental.models) {
+      // Rank 3 of 5: the intercept and one MiB column get zeros.
+      const Vector& beta = model.coefficients();
+      EXPECT_EQ(std::count(beta.begin(), beta.end(), 0.0), 2) << scope;
+    }
+    ASSERT_EQ(incremental.r_squared.size(), batch.r_squared.size());
+    for (size_t k = 0; k < batch.r_squared.size(); ++k) {
+      EXPECT_NEAR(incremental.r_squared[k], batch.r_squared[k], 1e-8)
+          << scope << " metric " << k;
+    }
+    const Matrix got = incremental.PredictBatch(candidates).ValueOrDie();
+    const Matrix want = batch.PredictBatch(candidates).ValueOrDie();
+    for (size_t r = 0; r < want.rows(); ++r) {
+      for (size_t k = 0; k < want.cols(); ++k) {
+        EXPECT_NEAR(got.At(r, k), want.At(r, k),
+                    1e-9 * std::max(std::abs(want.At(r, k)),
+                                    std::abs(got.At(r, k))))
+            << scope << " plan " << r << " metric " << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "linalg/decomposition.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -109,9 +111,61 @@ TEST(PivotedQrTest, FullRankMatchesDirectSolve) {
 TEST(PivotedQrTest, DetectsRank) {
   // Third column = first + second.
   Matrix a({{1, 0, 1}, {0, 1, 1}, {1, 1, 2}, {2, 1, 3}});
-  auto qr = HouseholderQrPivoted(a);
-  ASSERT_TRUE(qr.ok());
-  EXPECT_EQ(qr->rank, 2u);
+  std::vector<size_t> permutation;
+  EXPECT_EQ(PivotedQrInPlace(&a, nullptr, &permutation), 2u);
+  // The largest column (the sum) leads.
+  EXPECT_EQ(permutation[0], 2u);
+}
+
+TEST(PivotedQrTest, RightHandSideBlockMatchesPerColumnSolves) {
+  // Reducing a block of right-hand sides in one pass gives every column
+  // the solution a one-column solve gives it, on a rank-deficient matrix.
+  Rng rng(12);
+  Matrix a = RandomMatrix(9, 4, &rng);
+  for (size_t i = 0; i < a.rows(); ++i) a.At(i, 3) = 2.0 * a.At(i, 1);
+  Matrix rhs = RandomMatrix(9, 3, &rng);
+  Matrix r = a;
+  Matrix qt_rhs = rhs;
+  std::vector<size_t> permutation;
+  const size_t rank = PivotedQrInPlace(&r, &qt_rhs, &permutation);
+  ASSERT_EQ(rank, 3u);
+  for (size_t c = 0; c < rhs.cols(); ++c) {
+    Vector block;
+    PivotedBackSolve(r, qt_rhs, c, permutation, rank, &block);
+    auto single = PivotedLeastSquaresSolve(a, rhs.Col(c));
+    ASSERT_TRUE(single.ok());
+    for (size_t j = 0; j < a.cols(); ++j) {
+      EXPECT_NEAR(block[j], (*single)[j], 1e-12) << "rhs " << c;
+    }
+    // Exactly one of the two dependent columns carries weight.
+    EXPECT_TRUE(block[1] == 0.0 || block[3] == 0.0);
+  }
+}
+
+TEST(PivotedQrTest, ResidualIsTheReducedTail) {
+  // The basic solution's residual equals the rows of Qᵀb past the rank.
+  Rng rng(13);
+  Matrix a = RandomMatrix(12, 4, &rng);
+  for (size_t i = 0; i < a.rows(); ++i) a.At(i, 3) = 0.5 * a.At(i, 0);
+  Vector b(a.rows());
+  for (double& v : b) v = rng.Uniform(-1, 1);
+  Matrix r = a;
+  Matrix qtb = Matrix::FromColumn(b);
+  std::vector<size_t> permutation;
+  const size_t rank = PivotedQrInPlace(&r, &qtb, &permutation);
+  ASSERT_EQ(rank, 3u);
+  Vector x;
+  PivotedBackSolve(r, qtb, 0, permutation, rank, &x);
+  const Vector fitted = a.MultiplyVector(x).ValueOrDie();
+  double residual = 0.0;
+  for (size_t i = 0; i < b.size(); ++i) {
+    residual += (b[i] - fitted[i]) * (b[i] - fitted[i]);
+  }
+  double tail = 0.0;
+  for (size_t i = rank; i < qtb.rows(); ++i) {
+    tail += qtb.At(i, 0) * qtb.At(i, 0);
+  }
+  EXPECT_NEAR(tail, residual, 1e-12 * std::max(1.0, residual));
 }
 
 TEST(PivotedQrTest, SolvesRankDeficientSystem) {
@@ -178,62 +232,24 @@ TEST(SpdInverseTest, InverseTimesMatrixIsIdentity) {
                    1e-10);
 }
 
-TEST(CholeskyFactorIntoTest, MatchesAllocatingFactor) {
-  Matrix a({{6, 2, 1}, {2, 5, 2}, {1, 2, 4}});
-  Matrix buffer;
-  ASSERT_TRUE(CholeskyFactorInto(a, &buffer).ok());
-  auto fresh = CholeskyFactor(a);
-  ASSERT_TRUE(fresh.ok());
-  for (size_t i = 0; i < 3; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      EXPECT_NEAR(buffer.At(i, j), fresh->At(i, j), 1e-12);
-    }
-  }
-}
-
-TEST(CholeskyFactorIntoTest, ReusesBufferAcrossCalls) {
-  Rng rng(11);
-  Matrix buffer;
-  for (int trial = 0; trial < 5; ++trial) {
-    const Matrix x = RandomMatrix(8, 3, &rng);
-    const Matrix gram = x.Gram();  // SPD with probability 1
-    ASSERT_TRUE(CholeskyFactorInto(gram, &buffer).ok());
-    Vector solved;
-    ASSERT_TRUE(CholeskySolveFactored(buffer, {1.0, 2.0, 3.0}, &solved).ok());
-    auto direct = CholeskySolve(gram, {1.0, 2.0, 3.0});
-    ASSERT_TRUE(direct.ok());
-    for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(solved[i], (*direct)[i], 1e-9);
-  }
-}
-
-TEST(CholeskyFactorIntoTest, RejectsNumericallySingular) {
-  // Two identical columns: the Gram matrix of [v v] is exactly singular.
-  Matrix a({{4, 4}, {4, 4}});
-  Matrix buffer;
-  EXPECT_FALSE(CholeskyFactorInto(a, &buffer).ok());
-}
-
-TEST(CholeskyFactorIntoTest, RelativeToleranceScalesWithDiagonal) {
-  // A matrix that is singular up to rounding but has a huge diagonal: an
-  // absolute pivot floor would wrongly accept it.
-  const double big = 1e12;
-  Matrix a({{big, big}, {big, big}});
-  Matrix buffer;
-  EXPECT_FALSE(CholeskyFactorInto(a, &buffer).ok());
-}
-
 TEST(PivotedQrPropertyTest, RandomMatricesReconstruct) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     const size_t rows = 4 + rng.Index(8);
     const size_t cols = 1 + rng.Index(std::min<size_t>(rows, 5));
     const Matrix a = RandomMatrix(rows, cols, &rng);
-    auto qr = HouseholderQrPivoted(a);
-    ASSERT_TRUE(qr.ok());
+    // Reducing the identity alongside A turns it into Qᵀ.
+    Matrix r = a;
+    Matrix qt = Matrix::Identity(rows);
+    std::vector<size_t> permutation;
+    ASSERT_EQ(PivotedQrInPlace(&r, &qt, &permutation), cols);
+    for (size_t i = 1; i < cols; ++i) {
+      for (size_t j = 0; j < i; ++j) EXPECT_EQ(r.At(i, j), 0.0);
+    }
     // Q R should equal A with columns permuted.
-    const Matrix qr_prod = qr->q.Multiply(qr->r).ValueOrDie();
+    const Matrix qr_prod = qt.Transpose().Multiply(r).ValueOrDie();
     for (size_t j = 0; j < cols; ++j) {
-      const Vector original = a.Col(qr->permutation[j]);
+      const Vector original = a.Col(permutation[j]);
       const Vector reconstructed = qr_prod.Col(j);
       for (size_t i = 0; i < rows; ++i) {
         EXPECT_NEAR(original[i], reconstructed[i], 1e-9);

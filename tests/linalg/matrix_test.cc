@@ -151,20 +151,6 @@ TEST(MatrixTest, TransposeTimesVectorMatchesTranspose) {
   EXPECT_FALSE(a.TransposeTimesVector({1.0}).ok());
 }
 
-TEST(MatrixTest, AddOuterProductGrowsGram) {
-  // Accumulating v vᵀ row by row must reproduce the one-shot Gram matrix.
-  Matrix a({{1, 2}, {3, 4}, {5, 6}});
-  Matrix accumulated(2, 2);
-  for (size_t r = 0; r < a.rows(); ++r) accumulated.AddOuterProduct(a.Row(r));
-  EXPECT_LT(accumulated.MaxAbsDiff(a.Gram()).ValueOrDie(), 1e-12);
-}
-
-TEST(MatrixDeathTest, AddOuterProductShapeMismatchAborts) {
-  Matrix m(2, 2);
-  Vector v = {1.0, 2.0, 3.0};
-  EXPECT_DEATH(m.AddOuterProduct(v), "outer-product");
-}
-
 TEST(MatrixTest, FromRowsAssemblesAndRejectsRagged) {
   const std::vector<Vector> rows = {{1, 2, 3}, {4, 5, 6}};
   const Matrix m = Matrix::FromRows(rows).ValueOrDie();

@@ -218,7 +218,8 @@ TEST(DreamTest, PredictCostsBatchMatchesPerQueryPredictCosts) {
 //
 // The incremental engine must be a drop-in replacement for the seed's
 // refit-from-scratch loop: same selected window, same convergence flag,
-// and numerically matching models at the chosen window.
+// and numerically matching models at the chosen window — rank-deficient
+// windows included, which it fits itself with FitOls's pivot rule.
 
 void ExpectEnginesAgree(const TrainingSet& history, DreamOptions options,
                         const char* label) {
@@ -279,9 +280,9 @@ TEST(DreamEngineEquivalenceTest, RandomHistories) {
 }
 
 TEST(DreamEngineEquivalenceTest, ConstantFeatureFallsBackToBatch) {
-  // x2 never varies: every window's Gram matrix is singular, so the
-  // incremental path must take the rank-revealing fallback — and still
-  // agree with the batch engine exactly.
+  // x2 never varies: every window's design matrix is rank deficient, and
+  // the incremental engine's rank-revealing fit must drop the same column
+  // as the batch engine's.
   Rng rng(223);
   TrainingSet history({"x1", "x2"}, {"c"});
   for (int i = 0; i < 30; ++i) {
