@@ -9,23 +9,20 @@
 //   batch_tN    BatchCostPredictor: candidates are gathered into SoA
 //               feature matrices (MoqpOptions::batch_size rows), each
 //               chunk runs Algorithm 1 once and scores every row through
-//               one GEMM-backed PredictBatch;
+//               PredictBatch (the same per-row dot as Predict);
 //
 // plus batch_t8_cache, which adds the striped feature-keyed memo so
 // equivalent QEPs are scored once and repeated optimizations reuse the
 // persistent cache. With --stream, stream_tN configurations run the same
-// batched costing through OptimizeStreaming (chunked enumeration folded
-// into the online Pareto archive) so the O(front + chunk) pipeline is
-// tracked against the materialized one. Every row records whether its
-// Pareto front and chosen plan match the serial scalar baseline:
-// bit-identical when the scalar kernel tier is pinned (MIDAS_FORCE_SCALAR),
-// within the SIMD layer's 1e-12 relative drift budget otherwise (the batch
-// paths score through the FMA GEMM tile while the scalar predictor runs
-// per-row dots, so their rounding orders differ). Emits BENCH_moqp.json so
-// the perf trajectory is tracked across PRs; run via scripts/bench_moqp.sh.
+// batched costing through OptimizeStreaming (the candidate stream's
+// feature rows folded into the online Pareto archive) so the
+// O(front + chunk) pipeline is tracked against the materialized one.
+// Every row records whether its Pareto front and chosen plan match the
+// serial scalar baseline bit for bit (both predictors run the same
+// per-row dot on every SIMD tier). Emits BENCH_moqp.json so the perf
+// trajectory is tracked across PRs; run via scripts/bench_moqp.sh.
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <numeric>
 #include <string>
@@ -36,32 +33,10 @@
 #include "common/random.h"
 #include "ires/features.h"
 #include "ires/moo_optimizer.h"
-#include "linalg/simd.h"
 #include "regression/dream.h"
 
 namespace midas {
 namespace {
-
-// The determinism policy's equality: bitwise when the scalar kernel tier
-// is active, elementwise <= 1e-12 relative when a vector tier is
-// dispatched (the batch predictor's GEMM and the scalar predictor's
-// per-row dots associate rounding differently).
-bool CostsMatchBaseline(const std::vector<Vector>& actual,
-                        const std::vector<Vector>& baseline) {
-  if (!simd::Enabled()) return actual == baseline;
-  if (actual.size() != baseline.size()) return false;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    if (actual[i].size() != baseline[i].size()) return false;
-    for (size_t j = 0; j < actual[i].size(); ++j) {
-      const double a = actual[i][j];
-      const double e = baseline[i][j];
-      const double tol =
-          1e-12 * std::max({1.0, std::fabs(a), std::fabs(e)});
-      if (!(std::fabs(a - e) <= tol)) return false;
-    }
-  }
-  return true;
-}
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -185,10 +160,9 @@ int Run(const char* out_path, bool stream) {
   // Algorithm 1 with an unreachable R² target grows the window to the cap
   // on every estimate — the per-QEP estimation cost §3 multiplies by the
   // fleet size. The scalar predictor pays it per candidate; the batch
-  // predictor pays it once per SoA chunk and scores all rows in one GEMM.
-  // Both are deterministic functions of the same history; their per-plan
-  // costs are bit-identical under the scalar kernel tier and within the
-  // SIMD layer's 1e-12 relative drift budget otherwise.
+  // predictor pays it once per SoA chunk. Both are deterministic functions
+  // of the same history and score rows with the same dot, so their
+  // per-plan costs are bit-identical.
   DreamOptions dream_options;
   dream_options.r2_require = 2.0;
   dream_options.m_max = 256;
@@ -283,7 +257,7 @@ int Run(const char* out_path, bool stream) {
         baseline_chosen = result->chosen;
         baseline_plan = chosen_plan;
       }
-      if (!CostsMatchBaseline(result->pareto_costs, baseline_front) ||
+      if (result->pareto_costs != baseline_front ||
           result->chosen != baseline_chosen ||
           chosen_plan != baseline_plan) {
         r.matches_serial = false;
@@ -306,7 +280,7 @@ int Run(const char* out_path, bool stream) {
   json +=
       "  \"setup\": \"three-table join over a two-cloud federation, VM "
       "counts 1-32 per site (Example 3.1 scale); DREAM window-growth "
-      "estimator, scalar per-plan vs GEMM-backed batch costing; " +
+      "estimator, scalar per-plan vs batched costing; " +
       std::to_string(kReps) + " optimizations per config\",\n";
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";

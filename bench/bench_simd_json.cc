@@ -132,11 +132,9 @@ int Run(const char* out_path) {
     Dream dream;
     DreamEstimate estimate = dream.EstimateCostValue(history).ValueOrDie();
     const Matrix x = RandomMatrix(4096, 4, 31);
-    Matrix coeffs, out;
     rows.push_back(Measure("dream_predict_batch", "4096x4 -> 2 metrics",
                            [&]() {
-                             estimate.PredictBatchInto(x, &coeffs, &out)
-                                 .CheckOK();
+                             Matrix out = estimate.PredictBatch(x).ValueOrDie();
                              asm volatile("" : : "g"(out.RowData(0))
                                           : "memory");
                            }));

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Builds and runs the streaming-pipeline benchmark (section 2 of
-# bench_example31_enumeration): materialize-everything Optimize vs chunked
-# OptimizeStreaming over an Example-3.1-scale plan fleet, reporting
-# plans/sec and the peak number of simultaneously resident candidate
-# plans. Writes the machine-readable results to BENCH_stream.json at the
-# repo root so the streaming perf trajectory is tracked across PRs; every
-# streaming row is cross-checked against the materialized front
-# (matches_materialized).
+# bench_example31_enumeration): materialize-everything Optimize vs
+# OptimizeStreaming over the candidate stream (feature rows, plans built
+# only for the front) on an Example-3.1-scale plan fleet, reporting
+# plans/sec and the peak number of simultaneously resident candidates.
+# Writes the machine-readable results to BENCH_stream.json at the repo
+# root so the streaming perf trajectory is tracked across PRs; every
+# streaming row is cross-checked against the materialized front and its
+# plans (matches_materialized).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

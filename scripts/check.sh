@@ -6,9 +6,10 @@
 # thread-pool / parallel MOQP / striped-cache paths are race-checked under
 # ThreadSanitizer. The streaming-pipeline equivalence suites (fast
 # non-dominated sort vs naive oracle, online Pareto archive vs
-# materialized front, chunked vs materialized enumeration, and
+# materialized front, candidate stream vs materialized enumeration,
 # OptimizeStreaming vs Optimize across threads x chunk sizes x cache
-# settings) are discovered with the rest and run under every preset.
+# settings, and the serving path vs the per-plan snapshot pipeline) are
+# discovered with the rest and run under every preset.
 #
 # The snapshot suites ride the same discovery: the snapshot/live
 # equivalence tests run everywhere, the snapshot concurrency suite
@@ -22,8 +23,9 @@
 # (MIDAS_FORCE_SCALAR=ON) and reruns the whole suite, so the bitwise
 # batch==scalar / shard==serial equivalence gates are exercised with the
 # pinned scalar kernels on every change, alongside the default preset
-# where the same suites run as 1e-12-tolerance gates against the
-# dispatched vector tier.
+# where the GEMM-backed learner suites run as 1e-12-tolerance gates
+# against the dispatched vector tier (DREAM's batch scoring runs the
+# per-row dot, so its suites are exact under both).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -71,5 +73,14 @@ echo "=== bench: DREAM engine cross-check (--quick) ==="
 "$repo_root/scripts/bench_dream.sh" --quick
 echo "=== bench: DREAM engine cross-check, force-scalar (--quick) ==="
 BUILD_DIR="$repo_root/build-force-scalar" "$repo_root/scripts/bench_dream.sh" --quick
+
+# Serving-path correctness gate: the end-to-end benchmark's output checks
+# replay every query through the per-plan public calls (EnumeratePhysical,
+# ExtractFeatures, Modelling::Predict, ParetoFrontIndices, BestInPareto)
+# and compare with RunQuery/QueryService, so a divergence of the
+# feature-row pipeline from the per-plan path fails the run. Short runs:
+# a correctness gate, not a measurement.
+echo "=== perfbench: output checks, all workloads (--trace 1) ==="
+python3 "$repo_root/perfbench/run.py" --workload all --seconds 2 --trace 1
 
 echo "=== all presets green ==="

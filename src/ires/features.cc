@@ -52,6 +52,17 @@ StatusOr<Vector> ExtractFeatures(const Federation& federation,
   return features;
 }
 
+void CandidateFeaturesInto(const Vector& template_row, const int* site_nodes,
+                           double* out) {
+  const size_t n_sites = template_row.size() / 2;
+  for (size_t s = 0; s < n_sites; ++s) {
+    out[2 * s] = template_row[2 * s];
+    out[2 * s + 1] = template_row[2 * s + 1] != 0.0
+                         ? static_cast<double>(site_nodes[s])
+                         : 0.0;
+  }
+}
+
 std::vector<std::string> FeatureNames(const Federation& federation) {
   std::vector<std::string> names;
   names.reserve(2 * federation.num_sites());

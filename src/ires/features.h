@@ -27,6 +27,18 @@ namespace midas {
 StatusOr<Vector> ExtractFeatures(const Federation& federation,
                                  const QueryPlan& plan);
 
+/// Feature row of one candidate of the plan-space stream (CandidateChunk
+/// in query/enumerator.h), written to `out` (template_row.size() values):
+/// `template_row` is ExtractFeatures of the candidate's template and
+/// `site_nodes` the VM count its pick gives each federation site. The
+/// data_mib_* columns depend only on the template's scans, and every
+/// operator at a site runs with that site's count, so this equals
+/// ExtractFeatures of the materialized candidate bit for bit: nodes_<site>
+/// takes the pick's count wherever the template hosts an operator and
+/// stays 0 elsewhere.
+void CandidateFeaturesInto(const Vector& template_row, const int* site_nodes,
+                           double* out);
+
 /// Names matching ExtractFeatures' layout.
 std::vector<std::string> FeatureNames(const Federation& federation);
 

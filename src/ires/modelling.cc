@@ -1,23 +1,39 @@
 #include "ires/modelling.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace midas {
 
 namespace {
 
 /// Costs are physical quantities; an extrapolating model can go negative
-/// on out-of-hull feature points, which no caller can use.
-void ClampCosts(Vector* costs) {
-  for (double& c : *costs) c = std::max(0.0, c);
+/// on out-of-hull feature points, which no caller can use. A non-finite
+/// cost fails closed: clamped, a NaN would become 0.0 (std::max returns
+/// its first argument when the comparison is false) and look free to
+/// Algorithm 2.
+Status ClampCost(double* cost) {
+  if (!std::isfinite(*cost)) {
+    return Status::FailedPrecondition(
+        "estimator predicted a non-finite cost (non-finite history?)");
+  }
+  *cost = std::max(0.0, *cost);
+  return Status::OK();
 }
 
-void ClampCosts(Matrix* costs) {
+Status ClampCosts(Vector* costs) {
+  for (double& c : *costs) MIDAS_RETURN_IF_ERROR(ClampCost(&c));
+  return Status::OK();
+}
+
+Status ClampCosts(Matrix* costs) {
   for (size_t r = 0; r < costs->rows(); ++r) {
+    double* row = costs->RowData(r);
     for (size_t m = 0; m < costs->cols(); ++m) {
-      (*costs)(r, m) = std::max(0.0, (*costs)(r, m));
+      MIDAS_RETURN_IF_ERROR(ClampCost(&row[m]));
     }
   }
+  return Status::OK();
 }
 
 }  // namespace
@@ -70,7 +86,7 @@ StatusOr<Vector> Modelling::Predict(const std::string& scope, const Vector& x,
             }()
           : PredictBml(*set, x, config.window);
   if (!prediction.ok()) return prediction;
-  ClampCosts(&*prediction);
+  MIDAS_RETURN_IF_ERROR(ClampCosts(&*prediction));
   return prediction;
 }
 
@@ -99,7 +115,7 @@ StatusOr<Vector> Modelling::Predict(const EstimatorSnapshot& snapshot,
     return out;
   }();
   if (!prediction.ok()) return prediction;
-  ClampCosts(&*prediction);
+  MIDAS_RETURN_IF_ERROR(ClampCosts(&*prediction));
   return prediction;
 }
 
@@ -118,7 +134,7 @@ StatusOr<Matrix> Modelling::PredictBatch(const std::string& scope,
             }()
           : PredictBmlBatch(*set, X, config.window);
   if (!prediction.ok()) return prediction;
-  ClampCosts(&*prediction);
+  MIDAS_RETURN_IF_ERROR(ClampCosts(&*prediction));
   return prediction;
 }
 
@@ -133,13 +149,7 @@ StatusOr<Matrix> Modelling::PredictBatch(const EstimatorSnapshot& snapshot,
     if (config.kind == EstimatorKind::kDream) {
       MIDAS_ASSIGN_OR_RETURN(std::shared_ptr<const DreamEstimate> fit,
                              snapshot.DreamFit(scope, config.dream));
-      // Serving path: the stacked-coefficient scratch is thread-local so
-      // each concurrent shard pipeline reuses its own buffer across the
-      // batches it costs.
-      thread_local Matrix coeffs_scratch;
-      Matrix out;
-      MIDAS_RETURN_IF_ERROR(fit->PredictBatchInto(X, &coeffs_scratch, &out));
-      return out;
+      return fit->PredictBatch(X);
     }
     MIDAS_ASSIGN_OR_RETURN(
         std::shared_ptr<const BmlScopeFit> fit,
@@ -160,7 +170,7 @@ StatusOr<Matrix> Modelling::PredictBatch(const EstimatorSnapshot& snapshot,
     return out;
   }();
   if (!prediction.ok()) return prediction;
-  ClampCosts(&*prediction);
+  MIDAS_RETURN_IF_ERROR(ClampCosts(&*prediction));
   return prediction;
 }
 

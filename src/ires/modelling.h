@@ -88,6 +88,9 @@ class Modelling {
 
   /// Predicts the full cost vector of feature point `x` for `scope`
   /// against the writer-side live history (single-threaded legacy path).
+  /// Negative costs clamp to 0; a non-finite cost (e.g. from a NaN
+  /// recorded into the history) fails with FailedPrecondition on every
+  /// Predict/PredictBatch overload instead of reaching the optimizer.
   StatusOr<Vector> Predict(const std::string& scope, const Vector& x,
                            const EstimatorConfig& config) const;
 
@@ -100,11 +103,13 @@ class Modelling {
                            const EstimatorConfig& config) const;
 
   /// Batched Predict: one cost row per feature row of X (columns in metric
-  /// order). Row r equals Predict(scope, X.Row(r), config) bit-for-bit,
-  /// but the estimator is fitted *once* for the whole batch — DREAM runs
-  /// Algorithm 1 once and scores the batch as a GEMM, BML selects each
-  /// metric's best model once and calls its vectorised PredictBatch —
-  /// instead of refitting per candidate as the per-row path does.
+  /// order), with the estimator fitted *once* for the whole batch instead
+  /// of per candidate as the per-row path does. DREAM runs Algorithm 1
+  /// once and scores each row with Predict's own dot product, so row r
+  /// equals Predict(scope, X.Row(r), config) bit for bit on every SIMD
+  /// tier. BML selects each metric's best model once and calls its
+  /// vectorised PredictBatch: bit-identical under the scalar tier, within
+  /// the SIMD layer's 1e-12 relative policy otherwise (linalg/simd.h).
   StatusOr<Matrix> PredictBatch(const std::string& scope, const Matrix& X,
                                 const EstimatorConfig& config) const;
 

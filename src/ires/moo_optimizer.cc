@@ -1,6 +1,7 @@
 #include "ires/moo_optimizer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -14,6 +15,21 @@
 #include "optimizer/wsm.h"
 
 namespace midas {
+
+namespace {
+
+// A NaN cost neither dominates nor is dominated, and an infinite one
+// wins or loses Algorithm 2 by accident: the costing stage fails closed.
+Status CheckFinite(const double* costs, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(costs[i])) {
+      return Status::FailedPrecondition("predictor returned a non-finite cost");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 std::string MoqpAlgorithmName(MoqpAlgorithm algorithm) {
   switch (algorithm) {
@@ -89,6 +105,7 @@ StatusOr<std::vector<Vector>> MultiObjectiveOptimizer::PredictCandidateCosts(
             return Status::InvalidArgument(
                 "predictor/policy arity mismatch");
           }
+          MIDAS_RETURN_IF_ERROR(CheckFinite(c.data(), c.size()));
           costs[i] = std::move(c);
           return Status::OK();
         },
@@ -133,6 +150,7 @@ StatusOr<std::vector<Vector>> MultiObjectiveOptimizer::PredictCandidateCosts(
       [&](size_t k) -> Status {
         const size_t s = to_predict[k];
         MIDAS_ASSIGN_OR_RETURN(Vector c, predictor(plans[representative[s]]));
+        MIDAS_RETURN_IF_ERROR(CheckFinite(c.data(), c.size()));
         unique_costs[s] = std::move(c);
         return Status::OK();
       },
@@ -156,87 +174,81 @@ StatusOr<std::vector<Vector>> MultiObjectiveOptimizer::PredictCandidateCosts(
   return costs;
 }
 
-StatusOr<std::vector<Vector>>
-MultiObjectiveOptimizer::PredictCandidateCostsBatched(
-    const std::vector<QueryPlan>& plans, const BatchCostPredictor& predictor,
-    size_t arity, uint64_t epoch, uint64_t cache_namespace, size_t threads,
+Status MultiObjectiveOptimizer::ScoreFeatureRows(
+    const Matrix& features, const BatchCostPredictor& predictor, size_t arity,
+    uint64_t epoch, uint64_t cache_namespace, size_t threads, Matrix* costs,
     PredictionStats* stats) const {
-  ParallelForOptions parallel;
-  parallel.threads = threads;
-  std::vector<Vector> costs(plans.size());
-  if (plans.empty()) return costs;
+  const size_t n = features.rows();
+  const size_t n_features = features.cols();
+  costs->Resize(n, arity);
+  if (n == 0) return Status::OK();
 
-  // One ExtractFeatures pass over every candidate, in stable candidate
-  // order (each index writes its own slot, so the parallel pass is
-  // bit-identical to a serial one).
-  std::vector<Vector> features(plans.size());
-  MIDAS_RETURN_IF_ERROR(ParallelFor(
-      plans.size(),
-      [&](size_t i) -> Status {
-        MIDAS_ASSIGN_OR_RETURN(features[i],
-                               ExtractFeatures(*federation_, plans[i]));
-        return Status::OK();
-      },
-      parallel));
-  const size_t n_features = features[0].size();
-
-  // Output slots: without the cache every candidate owns one; with it,
+  // Rows that reach the predictor: every row without the cache; with it,
   // candidates sharing a feature vector collapse onto one slot and only
-  // the slots absent from the cache reach the predictor.
-  std::vector<size_t> slot_of_plan(plans.size());
-  std::vector<size_t> representative;  // first feature-row index per slot
-  std::vector<size_t> to_predict;      // slots that need scoring
-  std::vector<Vector> unique_costs;
-  if (!options_.cache_predictions) {
-    representative.resize(plans.size());
-    to_predict.resize(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      slot_of_plan[i] = representative[i] = to_predict[i] = i;
-    }
-    unique_costs.resize(plans.size());
+  // the first row of each slot absent from the cache is scored.
+  const bool cached = options_.cache_predictions;
+  std::vector<size_t> to_score;
+  std::vector<size_t> slot_of_row;     // cache only: row -> slot
+  std::vector<Vector> slot_keys;       // cache only: slot -> feature vector
+  std::vector<Vector> slot_costs;      // cache only: slot -> cost vector
+  std::vector<size_t> slot_of_scored;  // cache only: scored row -> slot
+  if (!cached) {
+    to_score.resize(n);
+    for (size_t r = 0; r < n; ++r) to_score[r] = r;
   } else {
     std::unordered_map<Vector, size_t, VectorHash> slot_by_feature;
-    slot_by_feature.reserve(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      const auto [it, inserted] =
-          slot_by_feature.emplace(features[i], representative.size());
-      if (inserted) representative.push_back(i);
-      slot_of_plan[i] = it->second;
+    slot_by_feature.reserve(n);
+    slot_of_row.resize(n);
+    std::vector<size_t> representative;
+    for (size_t r = 0; r < n; ++r) {
+      const double* row = features.RowData(r);
+      const auto [it, inserted] = slot_by_feature.emplace(
+          Vector(row, row + n_features), slot_keys.size());
+      if (inserted) {
+        slot_keys.push_back(it->first);
+        representative.push_back(r);
+      }
+      slot_of_row[r] = it->second;
     }
-    unique_costs.resize(representative.size());
-    for (size_t s = 0; s < representative.size(); ++s) {
-      if (auto cached = cache_->Lookup(features[representative[s]], epoch,
-                                       cache_namespace)) {
-        unique_costs[s] = std::move(*cached);
+    slot_costs.resize(slot_keys.size());
+    for (size_t s = 0; s < slot_keys.size(); ++s) {
+      if (auto hit = cache_->Lookup(slot_keys[s], epoch, cache_namespace)) {
+        slot_costs[s] = std::move(*hit);
         ++stats->cache_hits;
       } else {
-        to_predict.push_back(s);
+        to_score.push_back(representative[s]);
+        slot_of_scored.push_back(s);
         ++stats->cache_misses;
       }
     }
   }
 
-  // Score batch_size-row chunks concurrently. Each chunk gathers its
+  // Score batch_size-row blocks concurrently. Each block gathers its
   // feature rows into one SoA matrix and receives one cost row per
-  // feature row; chunk boundaries never affect the scored values, only
+  // feature row; block boundaries never affect the scored values, only
   // how often the predictor amortises its per-batch setup.
-  const size_t rows = to_predict.size();
-  size_t chunk_rows = options_.batch_size;
-  if (chunk_rows == 0) {
-    const size_t t = parallel.threads == 0 ? ThreadPool::DefaultThreadCount()
-                                           : parallel.threads;
-    chunk_rows = (rows + t - 1) / t;
+  const size_t rows = to_score.size();
+  size_t block_rows = options_.batch_size;
+  if (block_rows == 0) {
+    const size_t t = threads == 0 ? ThreadPool::DefaultThreadCount() : threads;
+    block_rows = (rows + t - 1) / t;
   }
-  chunk_rows = std::max<size_t>(1, chunk_rows);
-  const size_t n_chunks = (rows + chunk_rows - 1) / chunk_rows;
+  block_rows = std::max<size_t>(1, block_rows);
+  const size_t n_blocks = (rows + block_rows - 1) / block_rows;
+  Matrix scored_rows;
+  Matrix* scored_out = cached ? &scored_rows : costs;
+  scored_out->Resize(rows, arity);
+  ParallelForOptions parallel;
+  parallel.threads = threads;
   MIDAS_RETURN_IF_ERROR(ParallelFor(
-      n_chunks,
+      n_blocks,
       [&](size_t c) -> Status {
-        const size_t begin = c * chunk_rows;
-        const size_t end = std::min(begin + chunk_rows, rows);
+        const size_t begin = c * block_rows;
+        const size_t end = std::min(begin + block_rows, rows);
         Matrix x(end - begin, n_features);
         for (size_t r = begin; r < end; ++r) {
-          x.SetRow(r - begin, features[representative[to_predict[r]]]);
+          const double* row = features.RowData(to_score[r]);
+          std::copy(row, row + n_features, x.RowData(r - begin));
         }
         Matrix scored;
         MIDAS_RETURN_IF_ERROR(predictor(x, &scored));
@@ -247,31 +259,99 @@ MultiObjectiveOptimizer::PredictCandidateCostsBatched(
         if (scored.cols() != arity) {
           return Status::InvalidArgument("predictor/policy arity mismatch");
         }
+        for (size_t r = 0; r < scored.rows(); ++r) {
+          MIDAS_RETURN_IF_ERROR(CheckFinite(scored.RowData(r), arity));
+        }
         for (size_t r = begin; r < end; ++r) {
-          unique_costs[to_predict[r]] = scored.Row(r - begin);
+          std::copy(scored.RowData(r - begin),
+                    scored.RowData(r - begin) + arity, scored_out->RowData(r));
         }
         return Status::OK();
       },
       parallel));
-  stats->predictor_calls = rows;
+  stats->predictor_calls += rows;
+  if (!cached) return Status::OK();
 
-  if (options_.cache_predictions) {
-    for (size_t s : to_predict) {
-      cache_->Insert(features[representative[s]], unique_costs[s], epoch,
-                     cache_namespace);
-    }
-    // Checked after the fact so cached entries from an earlier predictor
-    // arity are rejected too.
-    for (const Vector& cost : unique_costs) {
-      if (cost.size() != arity) {
-        return Status::InvalidArgument("predictor/policy arity mismatch");
-      }
+  for (size_t k = 0; k < rows; ++k) {
+    const size_t s = slot_of_scored[k];
+    slot_costs[s] = scored_rows.Row(k);
+    cache_->Insert(slot_keys[s], slot_costs[s], epoch, cache_namespace);
+  }
+  // Checked after the fact so cached entries from an earlier predictor
+  // arity are rejected too.
+  for (const Vector& cost : slot_costs) {
+    if (cost.size() != arity) {
+      return Status::InvalidArgument("predictor/policy arity mismatch");
     }
   }
-  for (size_t i = 0; i < plans.size(); ++i) {
-    costs[i] = unique_costs[slot_of_plan[i]];
+  for (size_t r = 0; r < n; ++r) {
+    const Vector& cost = slot_costs[slot_of_row[r]];
+    std::copy(cost.begin(), cost.end(), costs->RowData(r));
   }
+  return Status::OK();
+}
+
+StatusOr<std::vector<Vector>>
+MultiObjectiveOptimizer::PredictCandidateCostsBatched(
+    const std::vector<QueryPlan>& plans, const BatchCostPredictor& predictor,
+    size_t arity, uint64_t epoch, uint64_t cache_namespace,
+    PredictionStats* stats) const {
+  ParallelForOptions parallel;
+  parallel.threads = options_.threads;
+  // One ExtractFeatures pass over every candidate, in stable candidate
+  // order (each index writes its own slot, so the parallel pass is
+  // bit-identical to a serial one).
+  std::vector<Vector> rows(plans.size());
+  MIDAS_RETURN_IF_ERROR(ParallelFor(
+      plans.size(),
+      [&](size_t i) -> Status {
+        MIDAS_ASSIGN_OR_RETURN(rows[i],
+                               ExtractFeatures(*federation_, plans[i]));
+        return Status::OK();
+      },
+      parallel));
+  MIDAS_ASSIGN_OR_RETURN(Matrix features, Matrix::FromRows(rows));
+  Matrix scored;
+  MIDAS_RETURN_IF_ERROR(ScoreFeatureRows(features, predictor, arity, epoch,
+                                         cache_namespace, options_.threads,
+                                         &scored, stats));
+  std::vector<Vector> costs(plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) costs[i] = scored.Row(i);
   return costs;
+}
+
+Status MultiObjectiveOptimizer::FoldCandidateChunk(
+    const CandidateChunk& chunk, const BatchCostPredictor& predictor,
+    size_t arity, uint64_t epoch, uint64_t cache_namespace, size_t threads,
+    ParetoArchive* archive, PredictionStats* stats) const {
+  // Feature rows straight from the closed-form candidates: one
+  // ExtractFeatures per template, then each pick's VM counts.
+  std::vector<Vector> template_rows(chunk.templates.size());
+  for (size_t t = 0; t < chunk.templates.size(); ++t) {
+    MIDAS_ASSIGN_OR_RETURN(template_rows[t],
+                           ExtractFeatures(*federation_, *chunk.templates[t]));
+  }
+  Matrix features(chunk.size(), template_rows.front().size());
+  for (size_t i = 0; i < chunk.size(); ++i) {
+    CandidateFeaturesInto(template_rows[chunk.template_of[i]], chunk.nodes(i),
+                          features.RowData(i));
+  }
+  Matrix costs;
+  MIDAS_RETURN_IF_ERROR(ScoreFeatureRows(features, predictor, arity, epoch,
+                                         cache_namespace, threads, &costs,
+                                         stats));
+  // Reduce the chunk to its own distinct front first (an online pass over
+  // the flat cost rows: thousands of candidates, a few dozen survivors),
+  // then fold the survivors in candidate order: the archive keeps first
+  // representatives and evicts members a later chunk dominates,
+  // reproducing FromCandidates exactly.
+  std::vector<size_t> evicted;
+  for (size_t idx : DistinctParetoFrontRows(costs)) {
+    const double* row = costs.RowData(idx);
+    archive->InsertSequenced(Vector(row, row + arity), chunk.seqs[idx],
+                             &evicted);
+  }
+  return Status::OK();
 }
 
 StatusOr<MoqpResult> MultiObjectiveOptimizer::RunAlgorithm(
@@ -371,8 +451,7 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::Optimize(
   MIDAS_ASSIGN_OR_RETURN(
       std::vector<Vector> costs,
       PredictCandidateCostsBatched(plans, predictor, policy.weights.size(),
-                                   snapshot_epoch, cache_namespace,
-                                   options_.threads, &stats));
+                                   snapshot_epoch, cache_namespace, &stats));
 
   MIDAS_ASSIGN_OR_RETURN(
       MoqpResult result,
@@ -403,143 +482,83 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::OptimizeStreaming(
   const size_t num_shards = options_.shards == 0
                                 ? ThreadPool::DefaultThreadCount()
                                 : options_.shards;
-  if (num_shards > 1) {
-    return OptimizeShardedStreaming(enumerator, logical, predictor, policy,
-                                    chunk_size, num_shards, snapshot_epoch,
-                                    cache_namespace);
-  }
-
-  PredictionStats stats;
-  ParetoArchive<QueryPlan> archive;
-  size_t examined = 0;
-  size_t peak_resident = 0;
-  MIDAS_RETURN_IF_ERROR(enumerator.EnumerateChunked(
-      logical, chunk_size,
-      [&](std::vector<QueryPlan>&& chunk) -> Status {
-        examined += chunk.size();
-        PredictionStats chunk_stats;
-        MIDAS_ASSIGN_OR_RETURN(
-            std::vector<Vector> costs,
-            PredictCandidateCostsBatched(chunk, predictor, arity,
-                                         snapshot_epoch, cache_namespace,
-                                         options_.threads, &chunk_stats));
-        stats.MergeFrom(chunk_stats);
-        peak_resident = std::max(peak_resident, archive.size() + chunk.size());
-        // Reduce the chunk to its own front first (cheap for the 2–3
-        // metric policies), then fold the survivors in candidate order:
-        // the archive keeps first representatives and evicts members a
-        // later chunk dominates, reproducing FromCandidates exactly.
-        const std::vector<size_t> front =
-            ParetoFrontIndices(costs, options_.threads);
-        for (size_t idx : front) {
-          archive.Insert(std::move(costs[idx]), std::move(chunk[idx]));
-        }
-        return Status::OK();
-      }));
-
-  MoqpResult result;
-  result.candidates_examined = examined;
-  result.pareto_costs = archive.TakeCosts();
-  result.pareto_plans = archive.TakePayloads();
-  MIDAS_ASSIGN_OR_RETURN(result.chosen,
-                         BestInPareto(result.pareto_costs, policy));
-  stats.ApplyTo(&result, snapshot_epoch);
-  result.peak_resident_candidates = peak_resident;
-  return result;
-}
-
-StatusOr<MoqpResult> MultiObjectiveOptimizer::OptimizeShardedStreaming(
-    const PlanEnumerator& enumerator, const QueryPlan& logical,
-    const BatchCostPredictor& predictor, const QueryPolicy& policy,
-    size_t chunk_size, size_t num_shards, uint64_t snapshot_epoch,
-    uint64_t cache_namespace) const {
   MIDAS_ASSIGN_OR_RETURN(std::vector<EnumerationShard> shards,
                          enumerator.PartitionShards(logical, num_shards));
-  const size_t arity = policy.weights.size();
 
-  // One independent pipeline per shard: enumerate its strata, score
-  // whole chunks against the pinned snapshot epoch, fold each chunk's
-  // survivors into a shard-local archive keyed by global sequence
-  // numbers. Shards share only the (lock-striped, epoch-keyed) feature
-  // cache; everything else is shard-private, so the only concurrency
-  // effect is which shard publishes a shared feature vector first — the
-  // cost values are a pure function of the features at this epoch.
+  // One independent pipeline per shard: stream its candidates as feature
+  // rows, score whole chunks against the pinned snapshot epoch, fold each
+  // chunk's survivors into a shard-local archive keyed by global sequence
+  // numbers. No plan tree is built for a candidate here. Shards share
+  // only the (lock-striped, epoch-keyed) feature cache; everything else
+  // is shard-private, so the only concurrency effect is which shard
+  // publishes a shared feature vector first — the cost values are a pure
+  // function of the features at this epoch.
   struct ShardRun {
-    ParetoArchive<QueryPlan> archive;
+    ParetoArchive archive;
     PredictionStats stats;
     uint64_t examined = 0;
     size_t peak_resident = 0;
     double seconds = 0.0;
   };
   std::vector<ShardRun> runs(shards.size());
-  ParallelForOptions parallel;
+  // A lone shard's stages use options.threads; concurrent shards run
+  // theirs serially because the shard fan-out already owns the workers.
+  const size_t inner_threads = shards.size() == 1 ? options_.threads : 1;
+  const auto run_shard = [&](size_t s) -> Status {
+    ShardRun& run = runs[s];
+    const double started = MonotonicSeconds();
+    MIDAS_RETURN_IF_ERROR(enumerator.StreamCandidates(
+        logical, shards[s], chunk_size,
+        [&](const CandidateChunk& chunk) -> Status {
+          run.examined += chunk.size();
+          run.peak_resident =
+              std::max(run.peak_resident, run.archive.size() + chunk.size());
+          return FoldCandidateChunk(chunk, predictor, arity, snapshot_epoch,
+                                    cache_namespace, inner_threads,
+                                    &run.archive, &run.stats);
+        }));
+    run.seconds = MonotonicSeconds() - started;
+    return Status::OK();
+  };
+  ParallelForOptions parallel;  // a lone shard runs inline
   parallel.threads = num_shards;
-  MIDAS_RETURN_IF_ERROR(ParallelFor(
-      shards.size(),
-      [&](size_t s) -> Status {
-        ShardRun& run = runs[s];
-        const double started = MonotonicSeconds();
-        MIDAS_RETURN_IF_ERROR(enumerator.EnumerateShardChunked(
-            logical, shards[s], chunk_size,
-            [&](std::vector<QueryPlan>&& chunk,
-                std::vector<uint64_t>&& seqs) -> Status {
-              run.examined += chunk.size();
-              PredictionStats chunk_stats;
-              // Inner stages run serial (threads = 1): the shard fan-out
-              // already occupies the pool's workers.
-              MIDAS_ASSIGN_OR_RETURN(
-                  std::vector<Vector> costs,
-                  PredictCandidateCostsBatched(chunk, predictor, arity,
-                                               snapshot_epoch, cache_namespace,
-                                               /*threads=*/1, &chunk_stats));
-              run.stats.MergeFrom(chunk_stats);
-              run.peak_resident = std::max(run.peak_resident,
-                                           run.archive.size() + chunk.size());
-              const std::vector<size_t> front =
-                  ParetoFrontIndices(costs, /*threads=*/1);
-              for (size_t idx : front) {
-                run.archive.InsertSequenced(std::move(costs[idx]), seqs[idx],
-                                            std::move(chunk[idx]));
-              }
-              return Status::OK();
-            }));
-        run.seconds = MonotonicSeconds() - started;
-        return Status::OK();
-      },
-      parallel));
+  MIDAS_RETURN_IF_ERROR(ParallelFor(shards.size(), run_shard, parallel));
 
   MoqpResult result;
   PredictionStats stats;
-  std::vector<ParetoArchive<QueryPlan>> archives;
+  std::vector<ParetoArchive> archives;
   archives.reserve(runs.size());
-  result.shard_stats.reserve(runs.size());
   for (size_t s = 0; s < runs.size(); ++s) {
     ShardRun& run = runs[s];
     stats.MergeFrom(run.stats);
     result.candidates_examined += static_cast<size_t>(run.examined);
     result.peak_resident_candidates += run.peak_resident;
-    MoqpShardStats shard_stats;
-    shard_stats.shard = s;
-    shard_stats.candidates_examined = run.examined;
-    shard_stats.front_size = run.archive.size();
-    shard_stats.peak_resident_candidates = run.peak_resident;
-    shard_stats.seconds = run.seconds;
-    shard_stats.plans_per_sec =
-        run.seconds > 0.0 ? static_cast<double>(run.examined) / run.seconds
-                          : 0.0;
-    result.shard_stats.push_back(shard_stats);
+    if (runs.size() > 1) {
+      MoqpShardStats shard_stats;
+      shard_stats.shard = s;
+      shard_stats.candidates_examined = run.examined;
+      shard_stats.front_size = run.archive.size();
+      shard_stats.peak_resident_candidates = run.peak_resident;
+      shard_stats.seconds = run.seconds;
+      shard_stats.plans_per_sec =
+          run.seconds > 0.0 ? static_cast<double>(run.examined) / run.seconds
+                            : 0.0;
+      result.shard_stats.push_back(shard_stats);
+    }
     archives.push_back(std::move(run.archive));
   }
 
   // Tree-merge the shard archives (associative + dedup-stable, so the
   // member set is independent of the tree shape) and restore the serial
   // arrival order via the global sequence numbers: from here on the
-  // result is byte-for-byte the single-stream one.
-  ParetoArchive<QueryPlan> merged =
-      ParetoArchive<QueryPlan>::MergeTree(std::move(archives));
+  // result is byte-for-byte the single-stream one. Only the front's plans
+  // are ever built.
+  ParetoArchive merged = ParetoArchive::MergeTree(std::move(archives));
   merged.SortBySequence();
-  result.pareto_costs = merged.TakeCosts();
-  result.pareto_plans = merged.TakePayloads();
+  std::vector<uint64_t> seqs;
+  merged.TakeMembers(&result.pareto_costs, &seqs);
+  MIDAS_ASSIGN_OR_RETURN(result.pareto_plans,
+                         enumerator.Materialize(logical, seqs));
   MIDAS_ASSIGN_OR_RETURN(result.chosen,
                          BestInPareto(result.pareto_costs, policy));
   stats.ApplyTo(&result, snapshot_epoch);

@@ -10,6 +10,7 @@
 #include "optimizer/best_in_pareto.h"
 #include "optimizer/nsga2.h"
 #include "optimizer/nsga_g.h"
+#include "optimizer/pareto_archive.h"
 #include "query/enumerator.h"
 
 namespace midas {
@@ -60,29 +61,30 @@ struct MoqpOptions {
   /// two). More shards cut contention on warm parallel lookups; counters
   /// and contents behave identically at any value.
   size_t cache_shards = FeatureCostCache::kDefaultShards;
-  /// Candidate plans materialised per enumeration chunk of
-  /// OptimizeStreaming: the streaming pipeline holds at most the online
-  /// Pareto archive plus one chunk of this many plans, so smaller values
-  /// tighten the O(front + chunk) peak working set while larger values
-  /// amortise the batched scoring setup over more rows. 0 falls back to
-  /// the default. The produced result is independent of the value.
+  /// Candidates per chunk of OptimizeStreaming's candidate stream. A
+  /// chunk is a block of feature rows (no plan trees), so the pipeline
+  /// holds at most the online Pareto archive plus one chunk of this many
+  /// rows: smaller values tighten the O(front + chunk) working set while
+  /// larger values amortise the batched scoring setup over more rows. 0
+  /// falls back to the default. The produced result is independent of the
+  /// value.
   size_t stream_chunk_size = 4096;
-  /// Disjoint enumeration pipelines of OptimizeStreaming: the plan space
-  /// is partitioned into this many shards (PlanEnumerator::PartitionShards)
-  /// that each run the whole enumerate → batched-cost → Pareto-fold
-  /// pipeline concurrently on the thread pool against the pinned snapshot
-  /// epoch, after which the shard archives are tree-merged and re-ordered
-  /// into the serial arrival sequence. 1 = the single serial stream
-  /// (default); 0 = the process-wide default parallelism. The produced
-  /// result is bit-identical at any value; per-shard pipeline metrics
-  /// land in MoqpResult::shard_stats. Only kExhaustivePareto streams —
-  /// the other algorithms delegate to the materialized path, which
-  /// ignores this knob. The batch predictor must be thread-safe
-  /// when != 1.
+  /// Disjoint candidate-stream pipelines of OptimizeStreaming: the plan
+  /// space is partitioned into this many shards
+  /// (PlanEnumerator::PartitionShards) that each run the whole
+  /// stream → batched-cost → Pareto-fold pipeline concurrently on the
+  /// thread pool against the pinned snapshot epoch, after which the shard
+  /// archives are tree-merged and re-ordered into the serial arrival
+  /// sequence. 1 = one stream (default; still streams); 0 = the
+  /// process-wide default parallelism. The produced result is
+  /// bit-identical at any value; per-shard pipeline metrics land in
+  /// MoqpResult::shard_stats. Only kExhaustivePareto streams — the other
+  /// algorithms delegate to the materialized path, which ignores this
+  /// knob. The batch predictor must be thread-safe when != 1.
   size_t shards = 1;
 };
 
-/// \brief Pipeline metrics of one enumeration shard of the sharded
+/// \brief Pipeline metrics of one candidate-stream shard of the sharded
 /// OptimizeStreaming path (MoqpOptions::shards): timings are per shard,
 /// so plans/sec here exposes stragglers the aggregate result hides.
 struct MoqpShardStats {
@@ -94,9 +96,9 @@ struct MoqpShardStats {
   /// (pre-merge front size).
   size_t front_size = 0;
   /// High-water mark of this shard's resident candidates (its archive
-  /// front plus one in-flight chunk).
+  /// front plus one in-flight chunk of feature rows).
   size_t peak_resident_candidates = 0;
-  /// Wall-clock seconds of the shard's enumerate→cost→fold pipeline.
+  /// Wall-clock seconds of the shard's stream→cost→fold pipeline.
   double seconds = 0.0;
   /// candidates_examined / seconds (0 when the duration underflows the
   /// clock).
@@ -136,18 +138,19 @@ struct MoqpResult {
   /// Estimator snapshot epoch the costs were predicted against, as passed
   /// to Optimize (0 = unversioned legacy caller).
   uint64_t snapshot_epoch = 0;
-  /// High-water mark of simultaneously materialised candidate plans: the
-  /// whole candidate set for the materialize-everything paths, the
-  /// archive front plus one in-flight chunk for single-stream
-  /// OptimizeStreaming. Aggregation under sharding: SUM of the per-shard
-  /// peaks (shard_stats breaks it down) — the worst case when every
-  /// shard hits its high-water mark simultaneously, still
+  /// High-water mark of simultaneously resident candidates: the whole
+  /// candidate set (as plans) for the materialize-everything paths; for
+  /// OptimizeStreaming the archive front plus one in-flight chunk, both
+  /// counted as feature/cost rows (the streaming path builds plans only
+  /// for the final front). Aggregation under sharding: SUM of the
+  /// per-shard peaks (shard_stats breaks it down) — the worst case when
+  /// every shard hits its high-water mark simultaneously, still
   /// O(front + shards × chunk); the merge stage holds at most the shard
   /// fronts, which the same bound covers.
   size_t peak_resident_candidates = 0;
   /// Per-shard pipeline metrics of the sharded OptimizeStreaming path;
-  /// empty for the materialized paths and the single-stream
-  /// (shards == 1) streaming path.
+  /// empty for the materialized paths and for a single stream
+  /// (shards == 1).
   std::vector<MoqpShardStats> shard_stats;
 
   const QueryPlan& chosen_plan() const { return pareto_plans[chosen]; }
@@ -160,14 +163,16 @@ struct MoqpResult {
 /// plan with BestInPareto (Algorithm 2) under the user policy.
 class MultiObjectiveOptimizer {
  public:
-  /// Predicts the cost vector of one annotated physical plan.
+  /// Predicts the cost vector of one annotated physical plan. With either
+  /// predictor kind, a non-finite cost fails the optimization
+  /// (FailedPrecondition) instead of entering the Pareto front.
   using CostPredictor = std::function<StatusOr<Vector>(const QueryPlan&)>;
 
   /// Scores a batch of candidates at once: `features` holds one extracted
   /// feature row per candidate (ires/features.h layout) and the predictor
   /// fills *costs with one row per feature row, one column per metric.
-  /// Must be a pure function of the features — the batched pipeline reads
-  /// plans only through ExtractFeatures, which is also what makes the
+  /// Must be a pure function of the features — the streaming pipeline
+  /// never builds the candidates' plans, and purity is what makes the
   /// prediction cache sound for it.
   using BatchCostPredictor =
       std::function<Status(const Matrix& features, Matrix* costs)>;
@@ -205,19 +210,22 @@ class MultiObjectiveOptimizer {
                                 uint64_t snapshot_epoch = 0,
                                 uint64_t cache_namespace = 0) const;
 
-  /// Streaming pipeline: enumerates candidates in
-  /// options.stream_chunk_size batches, scores each chunk through the
-  /// batched costing stage, and folds the chunk's Pareto survivors into
-  /// an online archive — peak memory O(front + chunk) instead of
-  /// O(all candidates), with a result identical to the materialized
-  /// batched Optimize. With options.shards != 1 the plan space is
-  /// partitioned and the whole pipeline runs once per shard concurrently,
-  /// the shard archives tree-merged and re-sequenced afterwards — still
-  /// bit-identical to the serial stream at any shard count. Only
-  /// kExhaustivePareto can be stream-folded; kWsm (whose scalarisation
-  /// min-max-normalises over the full candidate set) and the NSGA
-  /// variants (which evolve over the full cost table) transparently fall
-  /// back to the materialized path.
+  /// Streaming pipeline over the candidate stream
+  /// (PlanEnumerator::StreamCandidates): each chunk of
+  /// options.stream_chunk_size candidates arrives as feature rows with
+  /// global sequence numbers, is scored through the batched costing stage
+  /// (same dedup/cache slots as the materialized path) and has its Pareto
+  /// survivors folded into an online archive keyed by sequence number.
+  /// Only the final front is materialized into plans
+  /// (PlanEnumerator::Materialize), so peak memory is O(front + chunk)
+  /// rows and no plan tree is built for any other candidate; the result
+  /// is identical to the materialized batched Optimize. options.shards
+  /// partitions the stream into concurrent pipelines whose archives are
+  /// tree-merged and re-sequenced afterwards — bit-identical at any shard
+  /// count. Only kExhaustivePareto can be stream-folded; kWsm (whose
+  /// scalarisation min-max-normalises over the full candidate set) and
+  /// the NSGA variants (which evolve over the full cost table)
+  /// transparently fall back to the materialized path.
   StatusOr<MoqpResult> OptimizeStreaming(const QueryPlan& logical,
                                          const BatchCostPredictor& predictor,
                                          const QueryPolicy& policy,
@@ -247,8 +255,8 @@ class MultiObjectiveOptimizer {
     size_t cache_hits = 0;
     size_t cache_misses = 0;
 
-    /// Accumulates another stage's counters (streaming folds one per
-    /// chunk; the materialized paths fold exactly one).
+    /// Accumulates another pipeline's counters (streaming folds one per
+    /// shard; each pipeline's stages add into their own stats).
     void MergeFrom(const PredictionStats& other) {
       predictor_calls += other.predictor_calls;
       cache_hits += other.cache_hits;
@@ -274,27 +282,36 @@ class MultiObjectiveOptimizer {
       size_t arity, uint64_t epoch, uint64_t cache_namespace,
       PredictionStats* stats) const;
 
-  /// Batched variant: one ExtractFeatures pass over all candidates, then
-  /// chunked matrix scoring (feature-deduplicated and cache-filtered when
-  /// options.cache_predictions is set). `threads` is the inner
-  /// parallelism of the extraction and scoring stages — the materialized
-  /// paths pass options.threads, while shard pipelines pass 1 because the
-  /// shard fan-out already owns the pool's workers.
+  /// The batched costing stage shared by every BatchCostPredictor path:
+  /// scores the rows of `features` into *costs (one row per feature row,
+  /// `arity` columns) in options.batch_size-row blocks on `threads`
+  /// workers. With options.cache_predictions, rows sharing a feature
+  /// vector share one slot and only slots absent from the cache at
+  /// (`epoch`, `cache_namespace`) are scored. Counters accumulate into
+  /// *stats.
+  Status ScoreFeatureRows(const Matrix& features,
+                          const BatchCostPredictor& predictor, size_t arity,
+                          uint64_t epoch, uint64_t cache_namespace,
+                          size_t threads, Matrix* costs,
+                          PredictionStats* stats) const;
+
+  /// The materialized batched path's costing: one ExtractFeatures pass
+  /// over all candidates, then ScoreFeatureRows on options.threads.
   StatusOr<std::vector<Vector>> PredictCandidateCostsBatched(
       const std::vector<QueryPlan>& plans,
       const BatchCostPredictor& predictor, size_t arity, uint64_t epoch,
-      uint64_t cache_namespace, size_t threads,
-      PredictionStats* stats) const;
+      uint64_t cache_namespace, PredictionStats* stats) const;
 
-  /// The shards != 1 arm of OptimizeStreaming: partitions the plan space,
-  /// runs one enumerate→cost→fold pipeline per shard on the thread pool,
-  /// tree-merges the shard archives and restores serial arrival order via
-  /// the plans' global sequence numbers.
-  StatusOr<MoqpResult> OptimizeShardedStreaming(
-      const PlanEnumerator& enumerator, const QueryPlan& logical,
-      const BatchCostPredictor& predictor, const QueryPolicy& policy,
-      size_t chunk_size, size_t num_shards, uint64_t snapshot_epoch,
-      uint64_t cache_namespace) const;
+  /// One chunk of the streaming pipeline: builds the candidates' feature
+  /// rows (CandidateFeaturesInto over each template's ExtractFeatures
+  /// row), scores them through ScoreFeatureRows, and folds the chunk's
+  /// Pareto survivors into `archive` under their global sequence numbers.
+  /// Builds no plan.
+  Status FoldCandidateChunk(const CandidateChunk& chunk,
+                            const BatchCostPredictor& predictor, size_t arity,
+                            uint64_t epoch, uint64_t cache_namespace,
+                            size_t threads, ParetoArchive* archive,
+                            PredictionStats* stats) const;
 
   /// Drops cache entries from epochs other than `snapshot_epoch`. Driven
   /// by snapshot publication (OnSnapshotPublished) rather than at

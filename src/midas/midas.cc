@@ -53,13 +53,6 @@ StatusOr<Vector> MidasSystem::PredictPlanCosts(const std::string& scope,
   return modelling_->Predict(scope, features, options_.estimator);
 }
 
-StatusOr<Vector> MidasSystem::PredictPlanCosts(
-    const EstimatorSnapshot& snapshot, const std::string& scope,
-    const QueryPlan& plan) const {
-  MIDAS_ASSIGN_OR_RETURN(Vector features, ExtractFeatures(federation_, plan));
-  return modelling_->Predict(snapshot, scope, features, options_.estimator);
-}
-
 StatusOr<QueryOutcome> MidasSystem::OptimizeQuery(
     const std::shared_ptr<const EstimatorSnapshot>& snapshot,
     const QueryRequest& request) const {
@@ -70,37 +63,22 @@ StatusOr<QueryOutcome> MidasSystem::OptimizeQuery(
   // only WITHIN one history scope — concurrent tenants pinned to the same
   // epoch must not read each other's cached estimates.
   const uint64_t cache_namespace = std::hash<std::string>{}(request.scope);
+  // Every candidate is scored as a feature row against the pinned
+  // snapshot; OptimizeStreaming builds plans only for the Pareto front,
+  // at any shard count.
+  MultiObjectiveOptimizer::BatchCostPredictor predictor =
+      [this, &request, &snapshot](const Matrix& features,
+                                  Matrix* costs) -> Status {
+    MIDAS_ASSIGN_OR_RETURN(
+        *costs, modelling_->PredictBatch(*snapshot, request.scope, features,
+                                         options_.estimator));
+    return Status::OK();
+  };
   QueryOutcome outcome;
-  if (options_.moqp.shards != 1) {
-    // Sharded streaming: disjoint slices of the plan space run whole
-    // enumerate→cost→fold pipelines concurrently, costing SoA feature
-    // batches against the pinned snapshot. Equivalent to the serial path
-    // below at a fraction of the wall clock on multi-core hosts:
-    // bit-identical when the scalar kernel tier is pinned
-    // (MIDAS_FORCE_SCALAR), within the SIMD layer's 1e-12 relative drift
-    // budget otherwise (GEMM tiles vs per-row dots reassociate the sums).
-    MultiObjectiveOptimizer::BatchCostPredictor batch_predictor =
-        [this, &request, &snapshot](const Matrix& features,
-                                    Matrix* costs) -> Status {
-      MIDAS_ASSIGN_OR_RETURN(
-          *costs, modelling_->PredictBatch(*snapshot, request.scope, features,
-                                           options_.estimator));
-      return Status::OK();
-    };
-    MIDAS_ASSIGN_OR_RETURN(
-        outcome.moqp,
-        optimizer_->OptimizeStreaming(request.logical, batch_predictor,
-                                      request.policy, snapshot->epoch(),
-                                      cache_namespace));
-  } else {
-    auto predictor = [this, &request, &snapshot](const QueryPlan& plan) {
-      return PredictPlanCosts(*snapshot, request.scope, plan);
-    };
-    MIDAS_ASSIGN_OR_RETURN(
-        outcome.moqp,
-        optimizer_->Optimize(request.logical, predictor, request.policy,
-                             snapshot->epoch(), cache_namespace));
-  }
+  MIDAS_ASSIGN_OR_RETURN(
+      outcome.moqp,
+      optimizer_->OptimizeStreaming(request.logical, predictor, request.policy,
+                                    snapshot->epoch(), cache_namespace));
   outcome.predicted = outcome.moqp.chosen_costs();
   outcome.estimator = EstimatorName(options_.estimator);
   return outcome;

@@ -83,8 +83,12 @@ class MidasSystem {
   /// \brief The read-only half of RunQuery: enumerate → cost → Pareto →
   /// Algorithm 2 for `request`, predicting every candidate against the
   /// pinned `snapshot` (whose epoch lands in MoqpResult::snapshot_epoch).
-  /// Fills moqp/predicted/estimator; `actual` stays zero — nothing
-  /// executes and no feedback is recorded.
+  /// One pipeline at every options.moqp.shards value:
+  /// MultiObjectiveOptimizer::OptimizeStreaming scores the candidate
+  /// stream as feature rows through Modelling::PredictBatch and builds
+  /// plans only for the Pareto front. Fills moqp/predicted/estimator;
+  /// `actual` stays zero — nothing executes and no feedback is recorded.
+  /// A non-finite predicted cost fails the query (FailedPrecondition).
   ///
   /// Const and safe to call concurrently from many threads against the
   /// same or different snapshots — the concurrency point the QueryService
@@ -101,12 +105,11 @@ class MidasSystem {
   /// MoqpResult::snapshot_epoch), so every candidate is costed from the
   /// same (features, model, window) state even while feedback from other
   /// queries streams in; the measurement is then recorded back into the
-  /// scope's history (adaptive feedback), publishing the next epoch.
-  /// With options.moqp.shards != 1 the optimization runs the sharded
-  /// streaming pipeline instead — disjoint plan-space shards costing SoA
-  /// batches concurrently against the same pinned snapshot — with a
+  /// scope's history (adaptive feedback), publishing the next epoch. With
+  /// options.moqp.shards != 1 disjoint plan-space shards cost their
+  /// candidates concurrently against the same pinned snapshot, with a
   /// bit-identical outcome (per-shard metrics in
-  /// MoqpResult::shard_stats).
+  /// MoqpResult::shard_stats). A failed optimization records nothing.
   StatusOr<QueryOutcome> RunQuery(const std::string& scope,
                                   const QueryPlan& logical,
                                   const QueryPolicy& policy);
@@ -122,12 +125,6 @@ class MidasSystem {
   /// exposed for experiments that bypass execution. Reads the live
   /// history (single-threaded convenience path).
   StatusOr<Vector> PredictPlanCosts(const std::string& scope,
-                                    const QueryPlan& plan) const;
-
-  /// Snapshot-pinned variant: predicts against `snapshot` regardless of
-  /// feedback recorded after it was acquired.
-  StatusOr<Vector> PredictPlanCosts(const EstimatorSnapshot& snapshot,
-                                    const std::string& scope,
                                     const QueryPlan& plan) const;
 
  private:

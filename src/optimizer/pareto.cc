@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -475,6 +476,53 @@ std::vector<size_t> ParetoFrontIndices(const std::vector<Vector>& costs,
   for (size_t i = 0; i < costs.size(); ++i) {
     if (non_dominated[i] != 0) front.push_back(i);
   }
+  return front;
+}
+
+std::vector<size_t> DistinctParetoFrontRows(const Matrix& costs) {
+  const size_t n = costs.rows();
+  std::vector<size_t> front;
+  if (costs.cols() != 2) {
+    // Other arities: the sorted front, reduced to first representatives.
+    std::vector<Vector> rows(n);
+    for (size_t r = 0; r < n; ++r) rows[r] = costs.Row(r);
+    std::unordered_set<Vector, VectorHash> seen;
+    for (size_t r : ParetoFrontIndices(rows)) {
+      if (seen.insert(rows[r]).second) front.push_back(r);
+    }
+    return front;
+  }
+  // Two objectives: an online staircase of the members so far, f0
+  // strictly ascending and therefore f1 strictly descending. Of the
+  // members whose f0 is not above a row's, the last has the smallest f1,
+  // so one binary search decides whether the row is weakly dominated.
+  struct Step {
+    double f0;
+    double f1;
+    size_t row;
+  };
+  std::vector<Step> stairs;
+  for (size_t r = 0; r < n; ++r) {
+    const double f0 = costs.RowData(r)[0];
+    const double f1 = costs.RowData(r)[1];
+    const auto above =
+        std::upper_bound(stairs.begin(), stairs.end(), f0,
+                         [](double v, const Step& s) { return v < s.f0; });
+    // Weakly dominated: dominated, or a later duplicate of a member.
+    if (above != stairs.begin() && std::prev(above)->f1 <= f1) continue;
+    // The row evicts the contiguous run of members it dominates: f0 not
+    // below its own and f1 not below its own.
+    auto first =
+        std::lower_bound(stairs.begin(), above, f0,
+                         [](const Step& s, double v) { return s.f0 < v; });
+    auto last = first;
+    while (last != stairs.end() && last->f1 >= f1) ++last;
+    first = stairs.erase(first, last);
+    stairs.insert(first, Step{f0, f1, r});
+  }
+  front.reserve(stairs.size());
+  for (const Step& step : stairs) front.push_back(step.row);
+  std::sort(front.begin(), front.end());
   return front;
 }
 

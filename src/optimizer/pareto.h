@@ -36,6 +36,16 @@ std::vector<size_t> ParetoFrontIndices(const std::vector<Vector>& costs);
 std::vector<size_t> ParetoFrontIndices(const std::vector<Vector>& costs,
                                        size_t threads);
 
+/// Indices of the distinct non-dominated rows of `costs` (one cost vector
+/// per row, finite values), each distinct vector represented by its first
+/// row, ascending: what ParetoFrontIndices plus first-representative
+/// dedup yields. For the two-objective (time, money) policies it runs
+/// online over a staircase of the running front — one binary search per
+/// row, no sort of the rows — which is the streaming pipeline's
+/// per-chunk filter over thousands of candidates; other arities reduce
+/// ParetoFrontIndices' front.
+std::vector<size_t> DistinctParetoFrontRows(const Matrix& costs);
+
 /// Fast non-dominated sort: partitions all points into fronts; result[0]
 /// is the Pareto front, result[1] the next layer, etc. Indices within a
 /// front are ascending. Implemented as the Jensen/Fortin divide-and-

@@ -2,23 +2,22 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "optimizer/pareto.h"
 
 namespace midas {
 
-bool ParetoArchiveCore::Insert(Vector cost, std::vector<size_t>* evicted) {
-  size_t replaced_pos = 0;
+bool ParetoArchive::Insert(Vector cost, std::vector<size_t>* evicted) {
   // With a monotone sequence an equal member always has a smaller
   // sequence, so kReplacedRepresentative cannot occur and the outcome
   // collapses to the historical accept/reject semantics.
-  return InsertSequenced(std::move(cost), next_auto_seq_, evicted,
-                         &replaced_pos) == SequencedInsert::kInserted;
+  return InsertSequenced(std::move(cost), next_auto_seq_, evicted) ==
+         SequencedInsert::kInserted;
 }
 
-ParetoArchiveCore::SequencedInsert ParetoArchiveCore::InsertSequenced(
-    Vector cost, uint64_t seq, std::vector<size_t>* evicted,
-    size_t* replaced_pos) {
+ParetoArchive::SequencedInsert ParetoArchive::InsertSequenced(
+    Vector cost, uint64_t seq, std::vector<size_t>* evicted) {
   ++considered_;
   if (seq >= next_auto_seq_) next_auto_seq_ = seq + 1;
   evicted->clear();
@@ -32,7 +31,6 @@ ParetoArchiveCore::SequencedInsert ParetoArchiveCore::InsertSequenced(
       return SequencedInsert::kRejectedDuplicate;
     }
     seqs_[pos] = seq;
-    *replaced_pos = pos;
     ++duplicate_replacements_;
     return SequencedInsert::kReplacedRepresentative;
   }
@@ -72,7 +70,7 @@ ParetoArchiveCore::SequencedInsert ParetoArchiveCore::InsertSequenced(
   return SequencedInsert::kInserted;
 }
 
-std::vector<Vector> ParetoArchiveCore::TakeCosts() {
+std::vector<Vector> ParetoArchive::TakeCosts() {
   member_set_.clear();
   std::vector<Vector> out = std::move(costs_);
   costs_.clear();
@@ -80,7 +78,7 @@ std::vector<Vector> ParetoArchiveCore::TakeCosts() {
   return out;
 }
 
-void ParetoArchiveCore::TakeMembers(std::vector<Vector>* costs,
+void ParetoArchive::TakeMembers(std::vector<Vector>* costs,
                                     std::vector<uint64_t>* seqs) {
   member_set_.clear();
   *costs = std::move(costs_);
@@ -89,7 +87,30 @@ void ParetoArchiveCore::TakeMembers(std::vector<Vector>* costs,
   seqs_.clear();
 }
 
-void ParetoArchiveCore::SortBySequence(std::vector<size_t>* permutation) {
+void ParetoArchive::MergeFrom(ParetoArchive&& other) {
+  std::vector<Vector> costs;
+  std::vector<uint64_t> seqs;
+  other.TakeMembers(&costs, &seqs);
+  std::vector<size_t> evicted;
+  for (size_t i = 0; i < costs.size(); ++i) {
+    InsertSequenced(std::move(costs[i]), seqs[i], &evicted);
+  }
+}
+
+ParetoArchive ParetoArchive::MergeTree(std::vector<ParetoArchive>&& archives) {
+  if (archives.empty()) return ParetoArchive();
+  size_t count = archives.size();
+  while (count > 1) {
+    const size_t half = (count + 1) / 2;
+    for (size_t i = 0; i + half < count; ++i) {
+      archives[i].MergeFrom(std::move(archives[i + half]));
+    }
+    count = half;
+  }
+  return std::move(archives.front());
+}
+
+void ParetoArchive::SortBySequence() {
   std::vector<size_t> order(costs_.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
@@ -104,10 +125,9 @@ void ParetoArchiveCore::SortBySequence(std::vector<size_t>* permutation) {
   }
   costs_ = std::move(costs);
   seqs_ = std::move(seqs);
-  if (permutation != nullptr) *permutation = std::move(order);
 }
 
-void ParetoArchiveCore::Clear() {
+void ParetoArchive::Clear() {
   costs_.clear();
   seqs_.clear();
   member_set_.clear();

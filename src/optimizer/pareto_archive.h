@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -17,8 +16,11 @@ namespace midas {
 /// Feeding every candidate of a set through `Insert` in order leaves the
 /// archive holding exactly the distinct non-dominated cost vectors, each
 /// represented by its *first* occurrence and kept in arrival order — the
-/// same (plan, cost) sequence the materialize-everything pipeline
-/// produces, but with O(front) resident state instead of O(candidates).
+/// same cost sequence the materialize-everything pipeline produces, but
+/// with O(front) resident state instead of O(candidates). Members carry
+/// no payload: a member's sequence number identifies its candidate, so a
+/// caller rebuilds whatever it needs (e.g. the plan, via
+/// `PlanEnumerator::Materialize`) for the final members only.
 ///
 /// Insert semantics:
 ///  - a cost bitwise equal to a member is rejected (hashed O(1) dedup,
@@ -42,7 +44,7 @@ namespace midas {
 /// any merge tree over any partition of the stream yields the same member
 /// set, and `SortBySequence` then reproduces the serial arrival order
 /// exactly.
-class ParetoArchiveCore {
+class ParetoArchive {
  public:
   /// Outcome of a sequenced insertion attempt.
   enum class SequencedInsert {
@@ -59,23 +61,34 @@ class ParetoArchiveCore {
 
   /// Attempts to add `cost`. Returns true and appends it if it joins the
   /// archive; `evicted` then holds the ascending positions (in the
-  /// pre-insert member order) of the members it displaced, so a caller
-  /// tracking parallel payloads can mirror the removal. On a false
+  /// pre-insert member order) of the members it displaced. On a false
   /// return (duplicate or dominated) the archive is untouched and
   /// `evicted` is left empty. The member's sequence is the next value of
   /// the internal arrival counter (which counts every offer, accepted or
   /// not, so sequences match candidate-stream ranks).
   bool Insert(Vector cost, std::vector<size_t>* evicted);
 
-  /// `Insert` with an explicit global sequence number. On
-  /// `kReplacedRepresentative`, `*replaced_pos` is the member position
-  /// whose sequence (and, for payload-carrying wrappers, payload) must be
-  /// swapped for the incoming one; on every other outcome it is left
-  /// untouched. `evicted` is filled exactly as for `Insert` and is empty
-  /// unless the outcome is `kInserted`.
+  /// `Insert` with an explicit global sequence number. `evicted` is
+  /// filled exactly as for `Insert` and is empty unless the outcome is
+  /// `kInserted`.
   SequencedInsert InsertSequenced(Vector cost, uint64_t seq,
-                                  std::vector<size_t>* evicted,
-                                  size_t* replaced_pos);
+                                  std::vector<size_t>* evicted);
+
+  /// Drains `other` into this archive via sequenced inserts. Dedup
+  /// stability (smaller sequence wins) and transitivity of dominance make
+  /// the operation associative and commutative on the member set: merging
+  /// shard archives in any tree shape yields the same members, ready for
+  /// `SortBySequence`. Only members move — `other`'s lifetime counters
+  /// (considered/evictions/peaks) stay behind, so read per-shard stats
+  /// *before* merging; this archive counts each incoming member as one
+  /// offered insert.
+  void MergeFrom(ParetoArchive&& other);
+
+  /// Folds `archives` into one with a deterministic balanced merge tree
+  /// (pairwise rounds, halving each round); returns an empty archive for
+  /// empty input. The result's member set is independent of the tree
+  /// shape — the tree only balances merge work.
+  static ParetoArchive MergeTree(std::vector<ParetoArchive>&& archives);
 
   /// Members in arrival order (mutually non-dominated, distinct).
   const std::vector<Vector>& costs() const { return costs_; }
@@ -92,11 +105,8 @@ class ParetoArchiveCore {
   void TakeMembers(std::vector<Vector>* costs, std::vector<uint64_t>* seqs);
 
   /// Reorders the members ascending by sequence number (ties keep their
-  /// current relative order). When `permutation` is non-null it receives
-  /// the applied ordering: new position i holds the member formerly at
-  /// `(*permutation)[i]`, so wrappers can mirror the reorder onto
-  /// payloads.
-  void SortBySequence(std::vector<size_t>* permutation = nullptr);
+  /// current relative order).
+  void SortBySequence();
 
   void Clear();
 
@@ -107,7 +117,7 @@ class ParetoArchiveCore {
   /// Rejected as bitwise duplicates of a member.
   uint64_t duplicate_rejections() const { return duplicate_rejections_; }
   /// Rejected as bitwise duplicates but with a smaller sequence, so the
-  /// member adopted the incoming sequence (and payload) in place.
+  /// member adopted the incoming sequence in place.
   uint64_t duplicate_replacements() const { return duplicate_replacements_; }
   /// Rejected as dominated by a member.
   uint64_t dominated_rejections() const { return dominated_rejections_; }
@@ -125,142 +135,6 @@ class ParetoArchiveCore {
   uint64_t duplicate_replacements_ = 0;
   uint64_t dominated_rejections_ = 0;
   uint64_t evictions_ = 0;
-};
-
-/// \brief `ParetoArchiveCore` plus a payload carried alongside every cost
-/// (the physical plan that produced it): payloads ride through the same
-/// insert/evict/replace lifecycle, so `payloads()[i]` always corresponds
-/// to `costs()[i]`.
-template <typename Payload>
-class ParetoArchive {
- public:
-  /// Returns true iff the (cost, payload) pair joined the archive.
-  bool Insert(Vector cost, Payload payload) {
-    evicted_.clear();
-    if (!core_.Insert(std::move(cost), &evicted_)) return false;
-    CompactEvicted();
-    payloads_.push_back(std::move(payload));
-    return true;
-  }
-
-  /// `Insert` with an explicit global sequence number (see
-  /// `ParetoArchiveCore::InsertSequenced`). Returns true iff the archive
-  /// changed: the pair joined, or a bitwise-equal member with a larger
-  /// sequence handed its slot to this earlier representative.
-  bool InsertSequenced(Vector cost, uint64_t seq, Payload payload) {
-    evicted_.clear();
-    size_t replaced_pos = 0;
-    switch (core_.InsertSequenced(std::move(cost), seq, &evicted_,
-                                  &replaced_pos)) {
-      case ParetoArchiveCore::SequencedInsert::kRejectedDuplicate:
-      case ParetoArchiveCore::SequencedInsert::kRejectedDominated:
-        return false;
-      case ParetoArchiveCore::SequencedInsert::kReplacedRepresentative:
-        payloads_[replaced_pos] = std::move(payload);
-        return true;
-      case ParetoArchiveCore::SequencedInsert::kInserted:
-        break;
-    }
-    CompactEvicted();
-    payloads_.push_back(std::move(payload));
-    return true;
-  }
-
-  /// Drains `other` into this archive via sequenced inserts. Dedup
-  /// stability (smaller sequence wins) and transitivity of dominance make
-  /// the operation associative and commutative on the member set: merging
-  /// shard archives in any tree shape yields the same members, ready for
-  /// `SortBySequence`. Only members move — `other`'s lifetime counters
-  /// (considered/evictions/peaks) stay behind, so read per-shard stats
-  /// *before* merging; this archive counts each incoming member as one
-  /// offered insert.
-  void MergeFrom(ParetoArchive&& other) {
-    std::vector<Vector> costs;
-    std::vector<uint64_t> seqs;
-    other.core_.TakeMembers(&costs, &seqs);
-    std::vector<Payload> payloads = std::move(other.payloads_);
-    other.payloads_.clear();
-    for (size_t i = 0; i < costs.size(); ++i) {
-      InsertSequenced(std::move(costs[i]), seqs[i], std::move(payloads[i]));
-    }
-  }
-
-  /// Folds `archives` into one with a deterministic balanced merge tree
-  /// (pairwise rounds, halving each round); returns an empty archive for
-  /// empty input. The result's member set is independent of the tree
-  /// shape — the tree only balances merge work.
-  static ParetoArchive MergeTree(std::vector<ParetoArchive>&& archives) {
-    if (archives.empty()) return ParetoArchive();
-    size_t count = archives.size();
-    while (count > 1) {
-      const size_t half = (count + 1) / 2;
-      for (size_t i = 0; i + half < count; ++i) {
-        archives[i].MergeFrom(std::move(archives[i + half]));
-      }
-      count = half;
-    }
-    return std::move(archives.front());
-  }
-
-  /// Reorders members (and their payloads) ascending by sequence number.
-  void SortBySequence() {
-    std::vector<size_t> permutation;
-    core_.SortBySequence(&permutation);
-    std::vector<Payload> sorted;
-    sorted.reserve(payloads_.size());
-    for (size_t from : permutation) sorted.push_back(std::move(payloads_[from]));
-    payloads_ = std::move(sorted);
-  }
-
-  const std::vector<Vector>& costs() const { return core_.costs(); }
-  const std::vector<uint64_t>& seqs() const { return core_.seqs(); }
-  const std::vector<Payload>& payloads() const { return payloads_; }
-  size_t size() const { return core_.size(); }
-  bool empty() const { return core_.empty(); }
-
-  /// Moves the members out (costs and payloads stay index-aligned) and
-  /// resets the archive; stats survive.
-  std::vector<Vector> TakeCosts() { return core_.TakeCosts(); }
-  std::vector<Payload> TakePayloads() { return std::move(payloads_); }
-
-  void Clear() {
-    core_.Clear();
-    payloads_.clear();
-  }
-
-  size_t peak_size() const { return core_.peak_size(); }
-  uint64_t considered() const { return core_.considered(); }
-  uint64_t duplicate_rejections() const {
-    return core_.duplicate_rejections();
-  }
-  uint64_t duplicate_replacements() const {
-    return core_.duplicate_replacements();
-  }
-  uint64_t dominated_rejections() const {
-    return core_.dominated_rejections();
-  }
-  uint64_t evictions() const { return core_.evictions(); }
-
- private:
-  /// Mirrors the core's latest eviction list onto `payloads_` with the
-  /// same stable compaction.
-  void CompactEvicted() {
-    if (evicted_.empty()) return;
-    size_t write = evicted_.front();
-    size_t next = 0;
-    for (size_t read = write; read < payloads_.size(); ++read) {
-      if (next < evicted_.size() && evicted_[next] == read) {
-        ++next;
-        continue;
-      }
-      payloads_[write++] = std::move(payloads_[read]);
-    }
-    payloads_.resize(write);
-  }
-
-  ParetoArchiveCore core_;
-  std::vector<Payload> payloads_;
-  std::vector<size_t> evicted_;
 };
 
 }  // namespace midas

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <string>
 
 namespace midas {
 
@@ -150,6 +151,15 @@ Status PlanEnumerator::ResolveSpace(const QueryPlan& logical,
   if (options_.node_counts.empty()) {
     return Status::InvalidArgument("no candidate node counts");
   }
+  // Checked up front rather than per plan: the candidate stream estimates
+  // cardinalities once per template, so a bad count must fail before any
+  // candidate reaches a visitor.
+  for (int count : options_.node_counts) {
+    if (count <= 0) {
+      return Status::InvalidArgument("node_counts must be positive, got " +
+                                     std::to_string(count));
+    }
+  }
 
   // Resolve base table placements once; sorted + deduplicated.
   for (const std::string& table : logical.BaseTables()) {
@@ -251,30 +261,41 @@ uint64_t PlanEnumerator::StratumFeasibleCount(const StratumSpec& spec) {
   return product;
 }
 
-Status PlanEnumerator::EnumerateStratum(
-    const EnumerationSpace& space, const StratumSpec& spec,
-    uint64_t* next_seq,
-    const std::function<Status(QueryPlan&&, uint64_t)>& emit) const {
-  if (*next_seq >= options_.max_plans) return Status::OK();
-  if (StratumFeasibleCount(spec) == 0) return Status::OK();
-  const QueryPlan& variant = space.variants[spec.variant];
-  const Compute& compute = space.computes[spec.compute];
-  const std::vector<int>& counts = options_.node_counts;
-  const size_t digits = spec.used_sites.size();
+StatusOr<std::vector<EnumerationShard::Stratum>> PlanEnumerator::PlanStrata(
+    const EnumerationSpace& space) const {
+  const size_t n_strata = space.variants.size() * space.computes.size() *
+                          options_.node_counts.size();
+  const uint64_t cap = options_.max_plans;
+  std::vector<EnumerationShard::Stratum> strata;
+  uint64_t prefix = 0;
+  for (size_t s = 0; s < n_strata && prefix < cap; ++s) {
+    MIDAS_ASSIGN_OR_RETURN(StratumSpec spec, MakeStratumSpec(space, s));
+    const uint64_t count = StratumFeasibleCount(spec);
+    if (count > 0) {
+      strata.push_back({s, prefix, std::min(count, cap - prefix)});
+    }
+    prefix = count > std::numeric_limits<uint64_t>::max() - prefix
+                 ? std::numeric_limits<uint64_t>::max()
+                 : prefix + count;
+  }
+  if (strata.empty()) {
+    return Status::FailedPrecondition(
+        "no feasible physical plan (check node_counts vs site limits)");
+  }
+  return strata;
+}
 
+template <typename Fn>
+Status PlanEnumerator::ForEachPick(const StratumSpec& spec, uint64_t limit,
+                                   const Fn& fn) const {
+  const size_t n_counts = options_.node_counts.size();
+  const size_t digits = spec.used_sites.size();
   // Cartesian product of node counts over the participating sites, with
   // the leading (slowest) digit pinned to this stratum.
   std::vector<size_t> pick(digits, 0);
   pick[digits - 1] = spec.leading_digit;
-  const auto nodes_at = [&](SiteId s) {
-    for (size_t i = 0; i < digits; ++i) {
-      if (spec.used_sites[i] == s) return counts[pick[i]];
-    }
-    return counts[0];
-  };
-  while (true) {
-    // Feasibility needs only the per-site admissibility of the pick, so
-    // infeasible picks skip plan materialisation entirely.
+  uint64_t emitted = 0;
+  while (emitted < limit) {
     bool feasible = true;
     for (size_t i = 0; i + 1 < digits; ++i) {
       if (spec.allowed[i][pick[i]] == 0) {
@@ -283,19 +304,13 @@ Status PlanEnumerator::EnumerateStratum(
       }
     }
     if (feasible) {
-      QueryPlan plan = variant;
-      MIDAS_RETURN_IF_ERROR(AnnotateNode(plan.mutable_root(), space.placements,
-                                         compute.site, compute.engine,
-                                         nodes_at));
-      MIDAS_RETURN_IF_ERROR(EstimateCardinalities(*catalog_, &plan));
-      const uint64_t seq = (*next_seq)++;
-      MIDAS_RETURN_IF_ERROR(emit(std::move(plan), seq));
-      if (*next_seq >= options_.max_plans) return Status::OK();
+      MIDAS_RETURN_IF_ERROR(fn(pick));
+      ++emitted;
     }
     // Advance the mixed-radix counter below the leading digit.
     size_t d = 0;
     while (d + 1 < digits) {
-      if (++pick[d] < counts.size()) break;
+      if (++pick[d] < n_counts) break;
       pick[d] = 0;
       ++d;
     }
@@ -304,60 +319,76 @@ Status PlanEnumerator::EnumerateStratum(
   return Status::OK();
 }
 
+std::vector<size_t> PlanEnumerator::DecodePick(const StratumSpec& spec,
+                                               uint64_t rank) {
+  // Feasibility is per digit, so the feasible picks in counter order are
+  // the product of each digit's admissible counts, digit 0 fastest: the
+  // rank is a mixed-radix number over those admissible lists.
+  const size_t digits = spec.used_sites.size();
+  std::vector<size_t> pick(digits, 0);
+  pick[digits - 1] = spec.leading_digit;
+  for (size_t d = 0; d + 1 < digits; ++d) {
+    std::vector<size_t> admissible;
+    for (size_t k = 0; k < spec.allowed[d].size(); ++k) {
+      if (spec.allowed[d][k] != 0) admissible.push_back(k);
+    }
+    pick[d] = admissible[rank % admissible.size()];
+    rank /= admissible.size();
+  }
+  return pick;
+}
+
+StatusOr<QueryPlan> PlanEnumerator::BuildTemplate(const EnumerationSpace& space,
+                                                  size_t variant,
+                                                  size_t compute) const {
+  QueryPlan plan = space.variants[variant];
+  const Compute& c = space.computes[compute];
+  MIDAS_RETURN_IF_ERROR(AnnotateNode(plan.mutable_root(), space.placements,
+                                     c.site, c.engine,
+                                     [](SiteId) { return 1; }));
+  MIDAS_RETURN_IF_ERROR(EstimateCardinalities(*catalog_, &plan));
+  return plan;
+}
+
+Status PlanEnumerator::AnnotatePick(const EnumerationSpace& space,
+                                    const StratumSpec& spec,
+                                    const std::vector<size_t>& pick,
+                                    QueryPlan* plan) const {
+  const std::vector<int>& counts = options_.node_counts;
+  const auto nodes_at = [&](SiteId s) {
+    for (size_t i = 0; i < spec.used_sites.size(); ++i) {
+      if (spec.used_sites[i] == s) return counts[pick[i]];
+    }
+    return counts[0];
+  };
+  const Compute& compute = space.computes[spec.compute];
+  return AnnotateNode(plan->mutable_root(), space.placements, compute.site,
+                      compute.engine, nodes_at);
+}
+
 StatusOr<std::vector<QueryPlan>> PlanEnumerator::EnumeratePhysical(
     const QueryPlan& logical) const {
-  std::vector<QueryPlan> plans;
-  MIDAS_RETURN_IF_ERROR(
-      ForEachPhysical(logical, [&plans](QueryPlan&& plan) {
-        plans.push_back(std::move(plan));
-        return Status::OK();
-      }));
-  return plans;
-}
-
-Status PlanEnumerator::EnumerateChunked(const QueryPlan& logical,
-                                        size_t chunk_size,
-                                        const ChunkVisitor& visitor) const {
-  if (!visitor) return Status::InvalidArgument("null chunk visitor");
-  if (chunk_size == 0) {
-    return Status::InvalidArgument("chunk_size must be positive");
-  }
-  std::vector<QueryPlan> chunk;
-  chunk.reserve(std::min(chunk_size, options_.max_plans));
-  MIDAS_RETURN_IF_ERROR(
-      ForEachPhysical(logical, [&](QueryPlan&& plan) -> Status {
-        chunk.push_back(std::move(plan));
-        if (chunk.size() < chunk_size) return Status::OK();
-        std::vector<QueryPlan> full;
-        full.swap(chunk);
-        chunk.reserve(chunk_size);
-        return visitor(std::move(full));
-      }));
-  if (!chunk.empty()) {
-    MIDAS_RETURN_IF_ERROR(visitor(std::move(chunk)));
-  }
-  return Status::OK();
-}
-
-Status PlanEnumerator::ForEachPhysical(
-    const QueryPlan& logical,
-    const std::function<Status(QueryPlan&&)>& emit) const {
   EnumerationSpace space;
   MIDAS_RETURN_IF_ERROR(ResolveSpace(logical, &space));
-  const size_t n_strata = space.variants.size() * space.computes.size() *
-                          options_.node_counts.size();
-  uint64_t next_seq = 0;
-  for (size_t s = 0; s < n_strata && next_seq < options_.max_plans; ++s) {
-    MIDAS_ASSIGN_OR_RETURN(StratumSpec spec, MakeStratumSpec(space, s));
-    MIDAS_RETURN_IF_ERROR(EnumerateStratum(
-        space, spec, &next_seq,
-        [&emit](QueryPlan&& plan, uint64_t) { return emit(std::move(plan)); }));
+  MIDAS_ASSIGN_OR_RETURN(std::vector<EnumerationShard::Stratum> strata,
+                         PlanStrata(space));
+  // The reference path: one annotated, cardinality-estimated tree per
+  // candidate, built from the variant itself rather than a template.
+  std::vector<QueryPlan> plans;
+  for (const EnumerationShard::Stratum& stratum : strata) {
+    MIDAS_ASSIGN_OR_RETURN(StratumSpec spec,
+                           MakeStratumSpec(space, stratum.index));
+    MIDAS_RETURN_IF_ERROR(ForEachPick(
+        spec, stratum.feasible,
+        [&](const std::vector<size_t>& pick) -> Status {
+          QueryPlan plan = space.variants[spec.variant];
+          MIDAS_RETURN_IF_ERROR(AnnotatePick(space, spec, pick, &plan));
+          MIDAS_RETURN_IF_ERROR(EstimateCardinalities(*catalog_, &plan));
+          plans.push_back(std::move(plan));
+          return Status::OK();
+        }));
   }
-  if (next_seq == 0) {
-    return Status::FailedPrecondition(
-        "no feasible physical plan (check node_counts vs site limits)");
-  }
-  return Status::OK();
+  return plans;
 }
 
 StatusOr<std::vector<EnumerationShard>> PlanEnumerator::PartitionShards(
@@ -367,25 +398,8 @@ StatusOr<std::vector<EnumerationShard>> PlanEnumerator::PartitionShards(
   }
   EnumerationSpace space;
   MIDAS_RETURN_IF_ERROR(ResolveSpace(logical, &space));
-  const size_t n_strata = space.variants.size() * space.computes.size() *
-                          options_.node_counts.size();
-  const uint64_t cap = options_.max_plans;
-  std::vector<EnumerationShard::Stratum> entries;
-  uint64_t prefix = 0;
-  for (size_t s = 0; s < n_strata && prefix < cap; ++s) {
-    MIDAS_ASSIGN_OR_RETURN(StratumSpec spec, MakeStratumSpec(space, s));
-    const uint64_t count = StratumFeasibleCount(spec);
-    if (count > 0) {
-      entries.push_back({s, prefix, std::min(count, cap - prefix)});
-    }
-    prefix = count > std::numeric_limits<uint64_t>::max() - prefix
-                 ? std::numeric_limits<uint64_t>::max()
-                 : prefix + count;
-  }
-  if (entries.empty()) {
-    return Status::FailedPrecondition(
-        "no feasible physical plan (check node_counts vs site limits)");
-  }
+  MIDAS_ASSIGN_OR_RETURN(std::vector<EnumerationShard::Stratum> entries,
+                         PlanStrata(space));
 
   // Greedy LPT over the capped stratum sizes: biggest strata first, each
   // to the currently lightest shard (ties to the lower shard id). Fully
@@ -416,45 +430,123 @@ StatusOr<std::vector<EnumerationShard>> PlanEnumerator::PartitionShards(
   return shards;
 }
 
-Status PlanEnumerator::EnumerateShardChunked(
-    const QueryPlan& logical, const EnumerationShard& shard, size_t chunk_size,
-    const SequencedChunkVisitor& visitor) const {
-  if (!visitor) return Status::InvalidArgument("null chunk visitor");
+Status PlanEnumerator::StreamCandidates(const QueryPlan& logical,
+                                        const EnumerationShard& shard,
+                                        size_t chunk_size,
+                                        const CandidateVisitor& visitor) const {
+  if (!visitor) return Status::InvalidArgument("null candidate visitor");
   if (chunk_size == 0) {
     return Status::InvalidArgument("chunk_size must be positive");
   }
   EnumerationSpace space;
   MIDAS_RETURN_IF_ERROR(ResolveSpace(logical, &space));
-  const size_t reserve = static_cast<size_t>(
-      std::min<uint64_t>(chunk_size, shard.planned_emissions));
-  std::vector<QueryPlan> chunk;
-  std::vector<uint64_t> seqs;
-  chunk.reserve(reserve);
-  seqs.reserve(reserve);
+  const size_t n_counts = options_.node_counts.size();
+  const size_t n_sites = federation_->num_sites();
+  uint64_t planned = 0;
+  for (const EnumerationShard::Stratum& stratum : shard.strata) {
+    planned += stratum.feasible;
+  }
+  const size_t reserve =
+      static_cast<size_t>(std::min<uint64_t>(chunk_size, planned));
+  CandidateChunk chunk;
+  chunk.num_sites = n_sites;
+  chunk.seqs.reserve(reserve);
+  chunk.template_of.reserve(reserve);
+  chunk.site_nodes.reserve(reserve * n_sites);
   const auto flush = [&]() -> Status {
-    if (chunk.empty()) return Status::OK();
-    std::vector<QueryPlan> full_chunk;
-    std::vector<uint64_t> full_seqs;
-    full_chunk.swap(chunk);
-    full_seqs.swap(seqs);
-    chunk.reserve(reserve);
-    seqs.reserve(reserve);
-    return visitor(std::move(full_chunk), std::move(full_seqs));
+    if (chunk.size() == 0) return Status::OK();
+    Status status = visitor(chunk);
+    chunk.templates.clear();
+    chunk.seqs.clear();
+    chunk.template_of.clear();
+    chunk.site_nodes.clear();
+    return status;
   };
+
+  // Strata of one (variant, compute) group are adjacent in index order,
+  // so each group's template is built once per stream.
+  std::shared_ptr<const QueryPlan> plan_template;
+  size_t template_group = std::numeric_limits<size_t>::max();
   for (const EnumerationShard::Stratum& stratum : shard.strata) {
     MIDAS_ASSIGN_OR_RETURN(StratumSpec spec,
                            MakeStratumSpec(space, stratum.index));
-    uint64_t next_seq = stratum.seq_base;
-    MIDAS_RETURN_IF_ERROR(EnumerateStratum(
-        space, spec, &next_seq,
-        [&](QueryPlan&& plan, uint64_t seq) -> Status {
-          chunk.push_back(std::move(plan));
-          seqs.push_back(seq);
-          if (chunk.size() < chunk_size) return Status::OK();
-          return flush();
+    const size_t group = stratum.index / n_counts;
+    if (group != template_group) {
+      MIDAS_ASSIGN_OR_RETURN(QueryPlan built,
+                             BuildTemplate(space, spec.variant, spec.compute));
+      plan_template = std::make_shared<const QueryPlan>(std::move(built));
+      template_group = group;
+    }
+    uint64_t seq = stratum.seq_base;
+    MIDAS_RETURN_IF_ERROR(ForEachPick(
+        spec, stratum.feasible,
+        [&](const std::vector<size_t>& pick) -> Status {
+          if (chunk.templates.empty() ||
+              chunk.templates.back() != plan_template) {
+            chunk.templates.push_back(plan_template);
+          }
+          chunk.template_of.push_back(
+              static_cast<uint32_t>(chunk.templates.size() - 1));
+          chunk.seqs.push_back(seq++);
+          const size_t row = chunk.site_nodes.size();
+          chunk.site_nodes.resize(row + n_sites, 0);
+          for (size_t i = 0; i < spec.used_sites.size(); ++i) {
+            chunk.site_nodes[row + spec.used_sites[i]] =
+                options_.node_counts[pick[i]];
+          }
+          return chunk.size() < chunk_size ? Status::OK() : flush();
         }));
   }
   return flush();
+}
+
+StatusOr<std::vector<QueryPlan>> PlanEnumerator::Materialize(
+    const QueryPlan& logical, const std::vector<uint64_t>& seqs) const {
+  EnumerationSpace space;
+  MIDAS_RETURN_IF_ERROR(ResolveSpace(logical, &space));
+  MIDAS_ASSIGN_OR_RETURN(std::vector<EnumerationShard::Stratum> strata,
+                         PlanStrata(space));
+  const uint64_t total = strata.back().seq_base + strata.back().feasible;
+  // Visit the requests in sequence order so each stratum's spec and each
+  // group's template are built once.
+  std::vector<size_t> order(seqs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&seqs](size_t a, size_t b) { return seqs[a] < seqs[b]; });
+  std::vector<QueryPlan> plans(seqs.size());
+  const size_t n_counts = options_.node_counts.size();
+  size_t stratum_at = 0;
+  StratumSpec spec;
+  bool have_spec = false;
+  QueryPlan plan_template;
+  size_t template_group = std::numeric_limits<size_t>::max();
+  for (size_t i : order) {
+    const uint64_t seq = seqs[i];
+    if (seq >= total) {
+      return Status::OutOfRange("plan sequence number " + std::to_string(seq) +
+                                " past the " + std::to_string(total) +
+                                " emitted plans");
+    }
+    while (seq >= strata[stratum_at].seq_base + strata[stratum_at].feasible) {
+      ++stratum_at;
+      have_spec = false;
+    }
+    const EnumerationShard::Stratum& stratum = strata[stratum_at];
+    if (!have_spec) {
+      MIDAS_ASSIGN_OR_RETURN(spec, MakeStratumSpec(space, stratum.index));
+      have_spec = true;
+    }
+    if (stratum.index / n_counts != template_group) {
+      MIDAS_ASSIGN_OR_RETURN(plan_template,
+                             BuildTemplate(space, spec.variant, spec.compute));
+      template_group = stratum.index / n_counts;
+    }
+    QueryPlan plan = plan_template;
+    MIDAS_RETURN_IF_ERROR(AnnotatePick(
+        space, spec, DecodePick(spec, seq - stratum.seq_base), &plan));
+    plans[i] = std::move(plan);
+  }
+  return plans;
 }
 
 }  // namespace midas

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,6 +52,38 @@ struct EnumerationShard {
   uint64_t planned_emissions = 0;
 };
 
+/// \brief One batch of the candidate stream (`PlanEnumerator::
+/// StreamCandidates`): feasible physical plans in closed form instead of
+/// as plan trees.
+///
+/// A candidate is a *template* plus a VM-count *pick*. The template is the
+/// candidate's (join-order variant, compute placement) plan with sites,
+/// engines and cardinalities set; its per-operator VM counts are
+/// placeholders. The pick gives every site its VM count. Candidate i's
+/// plan is its template with each operator's count replaced by
+/// `nodes(i)[site]` — exactly the plan `EnumeratePhysical` emits at
+/// `seqs[i]`, which `PlanEnumerator::Materialize` rebuilds on demand.
+struct CandidateChunk {
+  /// Templates of this chunk's candidates, in first-use order. One
+  /// template object serves every chunk of a stream that uses it.
+  std::vector<std::shared_ptr<const QueryPlan>> templates;
+  /// Federation sites, i.e. the stride of `site_nodes`.
+  size_t num_sites = 0;
+  /// Per candidate: its global sequence number (0-based emission index in
+  /// `EnumeratePhysical` order).
+  std::vector<uint64_t> seqs;
+  /// Per candidate: index into `templates`.
+  std::vector<uint32_t> template_of;
+  /// Row-major size() × num_sites: the VM count candidate i's pick gives
+  /// each site (0 for sites the candidate does not use).
+  std::vector<int> site_nodes;
+
+  size_t size() const { return seqs.size(); }
+  const int* nodes(size_t i) const {
+    return site_nodes.data() + i * num_sites;
+  }
+};
+
 /// \brief Generates the set P of equivalent physical QEPs for a logical
 /// plan in a federation (§2.3): join-order commutations × compute
 /// site/engine placement × per-site VM counts.
@@ -65,34 +98,15 @@ class PlanEnumerator {
   PlanEnumerator(const Federation* federation, const Catalog* catalog,
                  EnumeratorOptions options = EnumeratorOptions());
 
-  /// Receives one batch of annotated physical plans, in enumeration
-  /// order, with ownership. Returning a non-OK status aborts the
-  /// enumeration and propagates out of `EnumerateChunked`.
-  using ChunkVisitor = std::function<Status(std::vector<QueryPlan>&& chunk)>;
-
-  /// Receives one batch of annotated physical plans plus each plan's
-  /// global sequence number (`seqs[i]` is `chunk[i]`'s 0-based emission
-  /// index in `EnumeratePhysical` order). Returning a non-OK status
-  /// aborts the enumeration and propagates out of
-  /// `EnumerateShardChunked`.
-  using SequencedChunkVisitor = std::function<Status(
-      std::vector<QueryPlan>&& chunk, std::vector<uint64_t>&& seqs)>;
+  /// Receives one chunk of the candidate stream. Returning a non-OK
+  /// status aborts the stream and propagates out of `StreamCandidates`.
+  using CandidateVisitor = std::function<Status(const CandidateChunk& chunk)>;
 
   /// Emits fully annotated physical plans with cardinalities estimated.
-  /// The logical plan must validate and every scanned table must have a
-  /// placement in the federation.
+  /// The logical plan must validate, every scanned table must have a
+  /// placement in the federation and every node count must be positive.
   StatusOr<std::vector<QueryPlan>> EnumeratePhysical(
       const QueryPlan& logical) const;
-
-  /// Streaming enumeration: generates exactly the plans (and order) of
-  /// `EnumeratePhysical`, but hands them to `visitor` in batches of at
-  /// most `chunk_size` so no more than one chunk is ever materialised at
-  /// a time — the generator half of the O(front + chunk) streaming
-  /// pipeline. Fails with the same errors as `EnumeratePhysical`
-  /// (including "no feasible physical plan" when nothing is emitted);
-  /// `chunk_size` must be positive and `visitor` non-null.
-  Status EnumerateChunked(const QueryPlan& logical, size_t chunk_size,
-                          const ChunkVisitor& visitor) const;
 
   /// Deterministically splits the plan space of `logical` into
   /// `num_shards` disjoint shards of whole strata, balanced by feasible
@@ -107,17 +121,29 @@ class PlanEnumerator {
   StatusOr<std::vector<EnumerationShard>> PartitionShards(
       const QueryPlan& logical, size_t num_shards) const;
 
-  /// Streams one shard: enumerates exactly the plans of the shard's
-  /// strata (in ascending stratum order, serial order within each) and
-  /// hands them to `visitor` in batches of at most `chunk_size` together
-  /// with their global sequence numbers. Unlike `EnumerateChunked` an
-  /// empty shard is not an error — infeasibility of the whole space is
-  /// `PartitionShards`'s job. The shard must come from `PartitionShards`
-  /// on the same enumerator and logical plan.
-  Status EnumerateShardChunked(const QueryPlan& logical,
-                               const EnumerationShard& shard,
-                               size_t chunk_size,
-                               const SequencedChunkVisitor& visitor) const;
+  /// Candidate stream of one shard: exactly the candidates
+  /// `EnumeratePhysical` emits in the shard's strata (ascending stratum
+  /// order, serial order within each, same sequence numbers and max_plans
+  /// cap), handed to `visitor` in chunks of at most `chunk_size`. The
+  /// single shard of `PartitionShards(logical, 1)` is the whole serial
+  /// stream. Builds one template per (variant, compute) and no plan per
+  /// candidate, so the stream costs O(chunk) memory and no tree copies. An
+  /// empty shard emits nothing and is not an error — infeasibility of the
+  /// whole space is `PartitionShards`'s job. The shard must come from
+  /// `PartitionShards` on the same enumerator and logical plan;
+  /// `chunk_size` must be positive and `visitor` non-null.
+  Status StreamCandidates(const QueryPlan& logical,
+                          const EnumerationShard& shard, size_t chunk_size,
+                          const CandidateVisitor& visitor) const;
+
+  /// Rebuilds the plans `EnumeratePhysical` emits at the global sequence
+  /// numbers `seqs` (any order, repeats allowed; out[i] is the plan at
+  /// seqs[i]) without enumerating the rest: whole strata are skipped by
+  /// their closed-form sizes and each pick is decoded from its rank inside
+  /// its stratum. Fails with `EnumeratePhysical`'s errors, and with
+  /// OutOfRange for a sequence number past the last emitted plan.
+  StatusOr<std::vector<QueryPlan>> Materialize(
+      const QueryPlan& logical, const std::vector<uint64_t>& seqs) const;
 
   /// Example 3.1: number of distinct (vCPU, memory-GiB) execution
   /// configurations available from a resource pool — 70 x 260 = 18,200.
@@ -167,19 +193,33 @@ class PlanEnumerator {
   /// of admissible VM counts, with the leading digit pinned.
   static uint64_t StratumFeasibleCount(const StratumSpec& spec);
 
-  /// Emits every feasible plan of one stratum in serial order, assigning
-  /// consecutive global sequence numbers from `*next_seq` and honouring
-  /// the global `options_.max_plans` cap.
-  Status EnumerateStratum(
-      const EnumerationSpace& space, const StratumSpec& spec,
-      uint64_t* next_seq,
-      const std::function<Status(QueryPlan&&, uint64_t)>& emit) const;
+  /// The non-empty strata of the whole space in serial order, each with
+  /// its first global sequence number and its size after the max_plans
+  /// cap. Fails with "no feasible physical plan" when there are none.
+  StatusOr<std::vector<EnumerationShard::Stratum>> PlanStrata(
+      const EnumerationSpace& space) const;
 
-  /// Shared generator core: invokes `emit` once per feasible annotated
-  /// plan, stopping after `options_.max_plans` emissions.
-  Status ForEachPhysical(
-      const QueryPlan& logical,
-      const std::function<Status(QueryPlan&&)>& emit) const;
+  /// Calls `fn(pick)` for the first `limit` feasible picks of a stratum in
+  /// serial order; `pick[i]` indexes node_counts for site used_sites[i].
+  template <typename Fn>
+  Status ForEachPick(const StratumSpec& spec, uint64_t limit,
+                     const Fn& fn) const;
+
+  /// The pick of rank `rank` among a stratum's feasible picks (serial
+  /// order), decoded in closed form.
+  static std::vector<size_t> DecodePick(const StratumSpec& spec,
+                                        uint64_t rank);
+
+  /// A (variant, compute) template: the variant annotated with the
+  /// compute placement, placeholder VM counts and estimated cardinalities
+  /// (which read no physical annotation).
+  StatusOr<QueryPlan> BuildTemplate(const EnumerationSpace& space,
+                                    size_t variant, size_t compute) const;
+
+  /// Annotates every operator of `plan` (a clone of the stratum's variant
+  /// or template) with the stratum's placement and the pick's VM counts.
+  Status AnnotatePick(const EnumerationSpace& space, const StratumSpec& spec,
+                      const std::vector<size_t>& pick, QueryPlan* plan) const;
 
   std::vector<QueryPlan> JoinOrderVariants(const QueryPlan& logical) const;
 

@@ -20,37 +20,16 @@ StatusOr<Vector> DreamEstimate::Predict(const Vector& x) const {
 }
 
 StatusOr<Matrix> DreamEstimate::PredictBatch(const Matrix& X) const {
-  Matrix coeffs;
-  Matrix out;
-  MIDAS_RETURN_IF_ERROR(PredictBatchInto(X, &coeffs, &out));
-  return out;
-}
-
-Status DreamEstimate::PredictBatchInto(const Matrix& X, Matrix* coeffs_scratch,
-                                       Matrix* out) const {
   if (models.empty()) {
     return Status::FailedPrecondition("DREAM estimate holds no models");
   }
-  const size_t n_metrics = models.size();
-  // Stack the per-metric slopes into one L × M coefficient matrix and seed
-  // the output with the intercepts; the GEMM then adds the feature terms
-  // in ascending feature order, matching OlsModel::Predict's association.
-  Matrix& coeffs = *coeffs_scratch;
-  coeffs.Resize(X.cols(), n_metrics);
-  out->Resize(X.rows(), n_metrics);
-  for (size_t m = 0; m < n_metrics; ++m) {
-    const Vector& beta = models[m].coefficients();
-    if (beta.empty()) {
-      return Status::FailedPrecondition("model is not fitted");
-    }
-    if (beta.size() - 1 != X.cols()) {
-      return Status::InvalidArgument("feature length mismatch");
-    }
-    for (size_t l = 0; l + 1 < beta.size(); ++l) coeffs(l, m) = beta[l + 1];
-    for (size_t r = 0; r < X.rows(); ++r) (*out)(r, m) = beta[0];
+  Matrix out(X.rows(), models.size());
+  Vector column;
+  for (size_t m = 0; m < models.size(); ++m) {
+    MIDAS_RETURN_IF_ERROR(models[m].PredictBatch(X, &column));
+    for (size_t r = 0; r < X.rows(); ++r) out.RowData(r)[m] = column[r];
   }
-  MIDAS_RETURN_IF_ERROR(X.MultiplyInto(coeffs, out, /*accumulate=*/true));
-  return Status::OK();
+  return out;
 }
 
 Dream::Dream(DreamOptions options) : options_(std::move(options)) {}

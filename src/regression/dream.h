@@ -66,18 +66,11 @@ struct DreamEstimate {
   /// Predicted cost vector (one value per metric) for feature vector x.
   StatusOr<Vector> Predict(const Vector& x) const;
 
-  /// Batched Predict: evaluates every metric over the whole batch with one
-  /// intercept-initialised GEMM against the stacked coefficient matrix
-  /// (X.rows() × L times L × num-metrics). Row r of the result matches
-  /// Predict(X.Row(r)): bit-identical under the scalar kernel tier, and
-  /// within 1e-12 relative error under a vector tier (linalg/simd.h).
+  /// Batched Predict: one cost row per feature row of X, one column per
+  /// metric. Each value is the same intercept-seeded dot product
+  /// (OlsModel::PredictBatch) Predict computes, so row r equals
+  /// Predict(X.Row(r)) bit for bit on every SIMD tier.
   StatusOr<Matrix> PredictBatch(const Matrix& X) const;
-
-  /// As PredictBatch, but writing into *out and rebuilding the stacked
-  /// coefficient matrix inside *coeffs_scratch, so a serving loop reuses
-  /// both buffers across calls instead of allocating them per batch.
-  Status PredictBatchInto(const Matrix& X, Matrix* coeffs_scratch,
-                          Matrix* out) const;
 };
 
 /// \brief DREAM — the paper's core contribution (Algorithm 1,

@@ -20,7 +20,6 @@
 #include "optimizer/nsga2.h"
 #include "optimizer/nsga_g.h"
 #include "optimizer/problem.h"
-#include "support/simd_testing.h"
 
 namespace midas {
 namespace {
@@ -95,28 +94,10 @@ MultiObjectiveOptimizer::CostPredictor OraclePredictor(
   };
 }
 
-// How two results' Pareto costs must agree: bitwise, or under the SIMD
-// determinism policy (tests/support/simd_testing.h) when one side costs
-// through a GEMM and the other through per-row dots.
-enum class CostMatch { kBitwise, kSimdPolicy };
-
 void ExpectSameResult(const MoqpResult& a, const MoqpResult& b,
-                      const std::string& label,
-                      CostMatch cost_match = CostMatch::kBitwise) {
+                      const std::string& label) {
   EXPECT_EQ(a.candidates_examined, b.candidates_examined) << label;
-  if (cost_match == CostMatch::kBitwise) {
-    EXPECT_EQ(a.pareto_costs, b.pareto_costs) << label;
-  } else {
-    ASSERT_EQ(a.pareto_costs.size(), b.pareto_costs.size()) << label;
-    for (size_t i = 0; i < a.pareto_costs.size(); ++i) {
-      ASSERT_EQ(a.pareto_costs[i].size(), b.pareto_costs[i].size()) << label;
-      for (size_t k = 0; k < a.pareto_costs[i].size(); ++k) {
-        SCOPED_TRACE(label + " front point " + std::to_string(i) +
-                     " metric " + std::to_string(k));
-        MIDAS_EXPECT_SIMD_EQ(b.pareto_costs[i][k], a.pareto_costs[i][k]);
-      }
-    }
-  }
+  EXPECT_EQ(a.pareto_costs, b.pareto_costs) << label;
   EXPECT_EQ(a.chosen, b.chosen) << label;
   ASSERT_EQ(a.pareto_plans.size(), b.pareto_plans.size()) << label;
   for (size_t i = 0; i < a.pareto_plans.size(); ++i) {
@@ -340,11 +321,9 @@ TEST(ParallelEquivalenceTest, BatchedCostingMatchesScalarSerial) {
   // The batched costing stage (SoA feature matrix -> chunked PredictBatch)
   // must reproduce the serial scalar pipeline: same front, same chosen
   // plan, at every thread count, batch size, and cache setting. The
-  // predictor is a captured DREAM estimate, whose batch GEMM matches its
-  // per-row Predict dots under the SIMD determinism policy: bitwise with
-  // the scalar tier pinned, to 1e-12 relative under a vector tier. The
-  // front's costs are held to that policy; the candidate count, the
-  // chosen index and the plans stay exact.
+  // predictor is a captured DREAM estimate, whose PredictBatch runs the
+  // same per-row dot as its Predict, so the whole result is bitwise equal
+  // on every SIMD tier.
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
@@ -407,7 +386,7 @@ TEST(ParallelEquivalenceTest, BatchedCostingMatchesScalarSerial) {
                                   " batch=" + std::to_string(batch_size) +
                                   " cache=" + std::to_string(cache);
         ASSERT_TRUE(result.ok()) << label;
-        ExpectSameResult(*baseline, *result, label, CostMatch::kSimdPolicy);
+        ExpectSameResult(*baseline, *result, label);
         if (cache) {
           // Deduped: each distinct feature vector scored at most once.
           EXPECT_LE(result->predictor_calls, result->candidates_examined)

@@ -7,8 +7,7 @@
 //     against exactly the epoch pinned when the request was dispatched;
 //  3. replay equivalence — re-running the recorded global execution order
 //     through a fresh identical MidasSystem::RunQuery reproduces every
-//     outcome (bitwise under MIDAS_FORCE_SCALAR, within the SIMD drift
-//     budget otherwise).
+//     outcome bit for bit.
 //
 // Runs under tsan via scripts/check.sh; sizes are chosen so the sanitizer
 // suite stays tolerable on small CI hosts.
@@ -23,7 +22,6 @@
 
 #include "midas/medical.h"
 #include "serve/query_service.h"
-#include "support/simd_testing.h"
 
 namespace midas {
 namespace {
@@ -145,8 +143,7 @@ TEST(ServeStressTest, SixtyFourTenantsReplayBitIdentical) {
               replayed->moqp.chosen_plan().ToString());
     ASSERT_EQ(served.outcome.predicted.size(), replayed->predicted.size());
     for (size_t k = 0; k < replayed->predicted.size(); ++k) {
-      MIDAS_EXPECT_SIMD_EQ(served.outcome.predicted[k],
-                           replayed->predicted[k]);
+      EXPECT_EQ(served.outcome.predicted[k], replayed->predicted[k]);
     }
     EXPECT_DOUBLE_EQ(served.outcome.actual.seconds,
                      replayed->actual.seconds);

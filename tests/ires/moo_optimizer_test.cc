@@ -1,6 +1,7 @@
 #include "ires/moo_optimizer.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -337,6 +338,44 @@ TEST(MoqpTest, PredictorArityMismatchRejected) {
     return Vector{1.0};  // one metric, policy expects two
   };
   EXPECT_FALSE(optimizer.Optimize(LogicalJoin(), bad_predictor, policy).ok());
+}
+
+TEST(MoqpTest, NonFinitePredictedCostsFailClosed) {
+  // A NaN cost is never dominated, so it would sit on every front; every
+  // costing stage rejects it (and infinities) instead, with or without the
+  // prediction cache.
+  Environment env = MakeEnvironment();
+  QueryPolicy policy;
+  policy.weights = {0.5, 0.5};
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    auto per_plan = [bad](const QueryPlan&) -> StatusOr<Vector> {
+      return Vector{1.0, bad};
+    };
+    MultiObjectiveOptimizer::BatchCostPredictor batch =
+        [bad](const Matrix& features, Matrix* costs) -> Status {
+      *costs = Matrix(features.rows(), 2, 1.0);
+      (*costs)(features.rows() - 1, 0) = bad;
+      return Status::OK();
+    };
+    for (bool cache : {false, true}) {
+      MoqpOptions options;
+      options.cache_predictions = cache;
+      MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
+                                        options);
+      EXPECT_EQ(optimizer.Optimize(LogicalJoin(), per_plan, policy)
+                    .status()
+                    .code(),
+                StatusCode::kFailedPrecondition);
+      EXPECT_EQ(
+          optimizer.Optimize(LogicalJoin(), batch, policy).status().code(),
+          StatusCode::kFailedPrecondition);
+      EXPECT_EQ(optimizer.OptimizeStreaming(LogicalJoin(), batch, policy)
+                    .status()
+                    .code(),
+                StatusCode::kFailedPrecondition);
+    }
+  }
 }
 
 TEST(MoqpAlgorithmTest, Names) {

@@ -1,9 +1,10 @@
 #include "midas/midas.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "midas/medical.h"
-#include "support/simd_testing.h"
 
 namespace midas {
 namespace {
@@ -45,6 +46,30 @@ TEST(MidasSystemTest, RunQueryWithoutHistoryFails) {
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
   EXPECT_FALSE(system.RunQuery("cold", query, policy).ok());
+}
+
+TEST(MidasSystemTest, NonFinitePredictedCostFailsClosed) {
+  // One NaN measurement recorded into a bootstrapped scope poisons the
+  // DREAM fit. Clamped to 0.0, the NaN prediction would make a plan look
+  // free and RunQuery return OK with a one-point front; it must fail
+  // instead and record nothing.
+  MidasSystem system = MakeSystem();
+  QueryPlan query = MakeExample21Query().ValueOrDie();
+  ASSERT_TRUE(system.Bootstrap("scope", query, 16).ok());
+  const TrainingSet* set =
+      system.modelling().history().Get("scope").ValueOrDie();
+  Observation poisoned = set->at(set->size() - 1);
+  poisoned.timestamp += 1;
+  poisoned.costs[0] = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(system.modelling().Record("scope", poisoned).ok());
+  const size_t recorded = system.modelling().history().SizeOf("scope");
+
+  QueryPolicy policy;
+  policy.weights = {0.5, 0.5};
+  auto outcome = system.RunQuery("scope", query, policy);
+  EXPECT_EQ(outcome.status().code(), StatusCode::kFailedPrecondition)
+      << outcome.status().ToString();
+  EXPECT_EQ(system.modelling().history().SizeOf("scope"), recorded);
 }
 
 TEST(MidasSystemTest, BmlEstimatorConfigurable) {
@@ -105,12 +130,9 @@ TEST(MidasSystemTest, WsmModeRunsEndToEnd) {
 }
 
 TEST(MidasSystemTest, ShardedRunQueryMatchesSerial) {
-  // RunQuery with moqp.shards != 1 routes through the sharded streaming
-  // pipeline (batched snapshot predictor); at equal seed and history the
-  // optimization outcome must match the serial path: bit-identical when
-  // the scalar kernel tier is pinned, and within the SIMD layer's 1e-12
-  // relative drift budget otherwise (the batch path runs the GEMM tile
-  // kernel while the serial path runs per-row dots).
+  // RunQuery with moqp.shards != 1 splits the candidate stream into
+  // concurrent shard pipelines; at equal seed and history the outcome
+  // must match the single stream bit for bit on every SIMD tier.
   MidasOptions serial_options;
   serial_options.seed = 321;
   MidasSystem serial = MakeSystem(serial_options);
@@ -133,8 +155,7 @@ TEST(MidasSystemTest, ShardedRunQueryMatchesSerial) {
     for (size_t k = 0; k < a->moqp.pareto_costs[p].size(); ++k) {
       SCOPED_TRACE("plan " + std::to_string(p) + " metric " +
                    std::to_string(k));
-      MIDAS_EXPECT_SIMD_EQ(b->moqp.pareto_costs[p][k],
-                           a->moqp.pareto_costs[p][k]);
+      EXPECT_EQ(b->moqp.pareto_costs[p][k], a->moqp.pareto_costs[p][k]);
     }
   }
   EXPECT_EQ(a->moqp.chosen, b->moqp.chosen);
@@ -142,7 +163,7 @@ TEST(MidasSystemTest, ShardedRunQueryMatchesSerial) {
   ASSERT_EQ(a->predicted.size(), b->predicted.size());
   for (size_t k = 0; k < a->predicted.size(); ++k) {
     SCOPED_TRACE("predicted metric " + std::to_string(k));
-    MIDAS_EXPECT_SIMD_EQ(b->predicted[k], a->predicted[k]);
+    EXPECT_EQ(b->predicted[k], a->predicted[k]);
   }
   EXPECT_TRUE(a->moqp.shard_stats.empty());
   EXPECT_EQ(b->moqp.shard_stats.size(), 2u);

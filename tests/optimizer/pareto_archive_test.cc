@@ -1,7 +1,6 @@
 #include "optimizer/pareto_archive.h"
 
 #include <numeric>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -13,7 +12,7 @@
 namespace midas {
 namespace {
 
-size_t InsertAll(ParetoArchiveCore* archive,
+size_t InsertAll(ParetoArchive* archive,
                  const std::vector<Vector>& costs) {
   std::vector<size_t> evicted;
   size_t accepted = 0;
@@ -24,13 +23,13 @@ size_t InsertAll(ParetoArchiveCore* archive,
 }
 
 TEST(ParetoArchiveCoreTest, KeepsNonDominatedInArrivalOrder) {
-  ParetoArchiveCore archive;
+  ParetoArchive archive;
   InsertAll(&archive, {{1, 5}, {2, 4}, {3, 3}, {2, 6}, {4, 4}});
   EXPECT_EQ(archive.costs(), (std::vector<Vector>{{1, 5}, {2, 4}, {3, 3}}));
 }
 
 TEST(ParetoArchiveCoreTest, DominatedInsertLeavesArchiveUntouched) {
-  ParetoArchiveCore archive;
+  ParetoArchive archive;
   std::vector<size_t> evicted;
   ASSERT_TRUE(archive.Insert({1, 1}, &evicted));
   EXPECT_FALSE(archive.Insert({2, 2}, &evicted));
@@ -40,7 +39,7 @@ TEST(ParetoArchiveCoreTest, DominatedInsertLeavesArchiveUntouched) {
 }
 
 TEST(ParetoArchiveCoreTest, EvictionsReportedAscendingAndCompacted) {
-  ParetoArchiveCore archive;
+  ParetoArchive archive;
   std::vector<size_t> evicted;
   ASSERT_TRUE(archive.Insert({1, 9}, &evicted));
   ASSERT_TRUE(archive.Insert({5, 5}, &evicted));
@@ -53,7 +52,7 @@ TEST(ParetoArchiveCoreTest, EvictionsReportedAscendingAndCompacted) {
 }
 
 TEST(ParetoArchiveCoreTest, TakeCostsResetsMembershipButKeepsStats) {
-  ParetoArchiveCore archive;
+  ParetoArchive archive;
   std::vector<size_t> evicted;
   ASSERT_TRUE(archive.Insert({1, 2}, &evicted));
   EXPECT_EQ(archive.TakeCosts(), (std::vector<Vector>{{1, 2}}));
@@ -71,7 +70,7 @@ TEST(ParetoArchiveCoreTest, StatsAccounting) {
   for (Vector& c : costs) {
     for (double& v : c) v = static_cast<double>(rng.UniformInt(0, 6));
   }
-  ParetoArchiveCore archive;
+  ParetoArchive archive;
   const size_t accepted = InsertAll(&archive, costs);
   EXPECT_EQ(archive.considered(), costs.size());
   EXPECT_EQ(accepted + archive.duplicate_rejections() +
@@ -82,24 +81,29 @@ TEST(ParetoArchiveCoreTest, StatsAccounting) {
   EXPECT_LE(archive.peak_size(), accepted);
 }
 
-TEST(ParetoArchiveTest, DuplicateKeepsFirstPayload) {
-  ParetoArchive<std::string> archive;
-  EXPECT_TRUE(archive.Insert({1, 2}, "first"));
-  EXPECT_FALSE(archive.Insert({1, 2}, "second"));
-  EXPECT_EQ(archive.payloads(), (std::vector<std::string>{"first"}));
+TEST(ParetoArchiveTest, DuplicateKeepsFirstSequence) {
+  ParetoArchive archive;
+  std::vector<size_t> evicted;
+  EXPECT_TRUE(archive.Insert({1, 2}, &evicted));
+  EXPECT_FALSE(archive.Insert({1, 2}, &evicted));
+  EXPECT_EQ(archive.seqs(), (std::vector<uint64_t>{0}));
   EXPECT_EQ(archive.duplicate_rejections(), 1u);
 }
 
-TEST(ParetoArchiveTest, PayloadsStayAlignedThroughEvictions) {
-  ParetoArchive<std::string> archive;
-  ASSERT_TRUE(archive.Insert({1, 9}, "a"));
-  ASSERT_TRUE(archive.Insert({5, 5}, "b"));
-  ASSERT_TRUE(archive.Insert({9, 1}, "c"));
-  ASSERT_TRUE(archive.Insert({0, 4}, "d"));  // evicts "a" and "b"
+TEST(ParetoArchiveTest, SequencesStayAlignedThroughEvictions) {
+  ParetoArchive archive;
+  std::vector<size_t> evicted;
+  ASSERT_TRUE(archive.Insert({1, 9}, &evicted));
+  ASSERT_TRUE(archive.Insert({5, 5}, &evicted));
+  ASSERT_TRUE(archive.Insert({9, 1}, &evicted));
+  ASSERT_TRUE(archive.Insert({0, 4}, &evicted));  // evicts seqs 0 and 1
   EXPECT_EQ(archive.costs(), (std::vector<Vector>{{9, 1}, {0, 4}}));
-  EXPECT_EQ(archive.payloads(), (std::vector<std::string>{"c", "d"}));
-  EXPECT_EQ(archive.TakeCosts(), (std::vector<Vector>{{9, 1}, {0, 4}}));
-  EXPECT_EQ(archive.TakePayloads(), (std::vector<std::string>{"c", "d"}));
+  EXPECT_EQ(archive.seqs(), (std::vector<uint64_t>{2, 3}));
+  std::vector<Vector> costs;
+  std::vector<uint64_t> seqs;
+  archive.TakeMembers(&costs, &seqs);
+  EXPECT_EQ(costs, (std::vector<Vector>{{9, 1}, {0, 4}}));
+  EXPECT_EQ(seqs, (std::vector<uint64_t>{2, 3}));
   EXPECT_TRUE(archive.empty());
 }
 
@@ -108,12 +112,12 @@ TEST(ParetoArchiveTest, PayloadsStayAlignedThroughEvictions) {
 // exactly what FromCandidates produces.
 void ReferenceFront(const std::vector<Vector>& costs,
                     std::vector<Vector>* front_costs,
-                    std::vector<int>* front_ids) {
+                    std::vector<uint64_t>* front_ids) {
   std::unordered_set<Vector, VectorHash> seen;
   for (size_t idx : ParetoFrontIndices(costs)) {
     if (!seen.insert(costs[idx]).second) continue;
     front_costs->push_back(costs[idx]);
-    front_ids->push_back(static_cast<int>(idx));
+    front_ids->push_back(idx);
   }
 }
 
@@ -126,16 +130,15 @@ TEST(ParetoArchiveTest, StreamingEqualsMaterializedReferenceRandomized) {
       for (Vector& c : costs) {
         for (double& v : c) v = static_cast<double>(rng.UniformInt(0, 8));
       }
-      ParetoArchive<int> archive;
-      for (size_t i = 0; i < n; ++i) {
-        archive.Insert(costs[i], static_cast<int>(i));
-      }
+      ParetoArchive archive;
+      std::vector<size_t> evicted;
+      for (size_t i = 0; i < n; ++i) archive.Insert(costs[i], &evicted);
       std::vector<Vector> want_costs;
-      std::vector<int> want_ids;
+      std::vector<uint64_t> want_ids;
       ReferenceFront(costs, &want_costs, &want_ids);
       EXPECT_EQ(archive.costs(), want_costs)
           << "n=" << n << " arity=" << arity;
-      EXPECT_EQ(archive.payloads(), want_ids)
+      EXPECT_EQ(archive.seqs(), want_ids)
           << "n=" << n << " arity=" << arity;
       EXPECT_EQ(archive.considered(), n) << "n=" << n << " arity=" << arity;
     }
@@ -143,16 +146,17 @@ TEST(ParetoArchiveTest, StreamingEqualsMaterializedReferenceRandomized) {
 }
 
 TEST(ParetoArchiveTest, ClearEmptiesBothSides) {
-  ParetoArchive<int> archive;
-  ASSERT_TRUE(archive.Insert({1, 2}, 0));
+  ParetoArchive archive;
+  std::vector<size_t> evicted;
+  ASSERT_TRUE(archive.Insert({1, 2}, &evicted));
   archive.Clear();
   EXPECT_TRUE(archive.empty());
-  EXPECT_TRUE(archive.payloads().empty());
-  EXPECT_TRUE(archive.Insert({1, 2}, 1));  // not a duplicate after Clear
+  EXPECT_TRUE(archive.seqs().empty());
+  EXPECT_TRUE(archive.Insert({1, 2}, &evicted));  // not a duplicate after Clear
 }
 
 TEST(ParetoArchiveCoreTest, PlainInsertsCarryArrivalSequences) {
-  ParetoArchiveCore archive;
+  ParetoArchive archive;
   std::vector<size_t> evicted;
   ASSERT_TRUE(archive.Insert({1, 9}, &evicted));
   EXPECT_FALSE(archive.Insert({2, 10}, &evicted));  // dominated, still counted
@@ -161,39 +165,56 @@ TEST(ParetoArchiveCoreTest, PlainInsertsCarryArrivalSequences) {
 }
 
 TEST(ParetoArchiveTest, SequencedDuplicateKeepsSmallestSequence) {
-  ParetoArchive<std::string> archive;
-  EXPECT_TRUE(archive.InsertSequenced({1, 2}, 7, "late"));
+  using Outcome = ParetoArchive::SequencedInsert;
+  ParetoArchive archive;
+  std::vector<size_t> evicted;
+  EXPECT_EQ(archive.InsertSequenced({1, 2}, 7, &evicted), Outcome::kInserted);
   // Same cost, smaller sequence: the member stays put but adopts the
-  // earlier representative's sequence and payload.
-  EXPECT_TRUE(archive.InsertSequenced({1, 2}, 3, "early"));
-  EXPECT_EQ(archive.payloads(), (std::vector<std::string>{"early"}));
+  // earlier representative's sequence.
+  EXPECT_EQ(archive.InsertSequenced({1, 2}, 3, &evicted),
+            Outcome::kReplacedRepresentative);
   EXPECT_EQ(archive.seqs(), (std::vector<uint64_t>{3}));
   EXPECT_EQ(archive.duplicate_replacements(), 1u);
   // Same cost, larger sequence: plain duplicate rejection.
-  EXPECT_FALSE(archive.InsertSequenced({1, 2}, 5, "later"));
-  EXPECT_EQ(archive.payloads(), (std::vector<std::string>{"early"}));
+  EXPECT_EQ(archive.InsertSequenced({1, 2}, 5, &evicted),
+            Outcome::kRejectedDuplicate);
+  EXPECT_EQ(archive.seqs(), (std::vector<uint64_t>{3}));
   EXPECT_EQ(archive.duplicate_rejections(), 1u);
 }
 
 TEST(ParetoArchiveTest, SortBySequenceRestoresArrivalOrder) {
-  ParetoArchive<int> archive;
-  EXPECT_TRUE(archive.InsertSequenced({9, 1}, 5, 5));
-  EXPECT_TRUE(archive.InsertSequenced({1, 9}, 0, 0));
-  EXPECT_TRUE(archive.InsertSequenced({5, 5}, 2, 2));
+  ParetoArchive archive;
+  std::vector<size_t> evicted;
+  EXPECT_TRUE(archive.InsertSequenced({9, 1}, 5, &evicted) ==
+              ParetoArchive::SequencedInsert::kInserted);
+  EXPECT_TRUE(archive.InsertSequenced({1, 9}, 0, &evicted) ==
+              ParetoArchive::SequencedInsert::kInserted);
+  EXPECT_TRUE(archive.InsertSequenced({5, 5}, 2, &evicted) ==
+              ParetoArchive::SequencedInsert::kInserted);
   archive.SortBySequence();
   EXPECT_EQ(archive.costs(), (std::vector<Vector>{{1, 9}, {5, 5}, {9, 1}}));
-  EXPECT_EQ(archive.payloads(), (std::vector<int>{0, 2, 5}));
   EXPECT_EQ(archive.seqs(), (std::vector<uint64_t>{0, 2, 5}));
 }
 
 // Single-pass reference for the merge suites: every cost in stream order
-// through one archive, then payload ids compared against the merged
+// through one archive, then member sequences compared against the merged
 // result.
 void SinglePassArchive(const std::vector<Vector>& costs,
-                       ParetoArchive<int>* archive) {
+                       ParetoArchive* archive) {
+  std::vector<size_t> evicted;
+  for (const Vector& cost : costs) archive->Insert(cost, &evicted);
+}
+
+// Round-robin split of the stream into `k` archives, each fed its slice in
+// stream order under global sequences.
+std::vector<ParetoArchive> ShardArchives(const std::vector<Vector>& costs,
+                                         size_t k) {
+  std::vector<ParetoArchive> shards(k);
+  std::vector<size_t> evicted;
   for (size_t i = 0; i < costs.size(); ++i) {
-    archive->Insert(costs[i], static_cast<int>(i));
+    shards[i % k].InsertSequenced(costs[i], i, &evicted);
   }
+  return shards;
 }
 
 // The satellite's randomized MergeFrom oracle: split the stream K ways
@@ -210,20 +231,15 @@ TEST(ParetoArchiveTest, ShardedMergeMatchesSinglePassAndReferenceRandomized) {
         for (Vector& c : costs) {
           for (double& v : c) v = static_cast<double>(rng.UniformInt(0, 6));
         }
-        ParetoArchive<int> single;
+        ParetoArchive single;
         SinglePassArchive(costs, &single);
         std::vector<Vector> want_costs;
-        std::vector<int> want_ids;
+        std::vector<uint64_t> want_ids;
         ReferenceFront(costs, &want_costs, &want_ids);
         ASSERT_EQ(single.costs(), want_costs) << "n=" << n << " k=" << k;
 
         for (int shuffle = 0; shuffle < 4; ++shuffle) {
-          // Build K shard archives over a round-robin split of the
-          // stream, inserting each shard's costs in stream order.
-          std::vector<ParetoArchive<int>> shards(k);
-          for (size_t i = 0; i < n; ++i) {
-            shards[i % k].InsertSequenced(costs[i], i, static_cast<int>(i));
-          }
+          std::vector<ParetoArchive> shards = ShardArchives(costs, k);
           // Merge in a random tree order: repeatedly fold a random
           // archive into another random one.
           while (shards.size() > 1) {
@@ -239,40 +255,40 @@ TEST(ParetoArchiveTest, ShardedMergeMatchesSinglePassAndReferenceRandomized) {
           EXPECT_EQ(shards.front().costs(), want_costs)
               << "n=" << n << " arity=" << arity << " k=" << k
               << " shuffle=" << shuffle;
-          EXPECT_EQ(shards.front().payloads(), want_ids)
+          EXPECT_EQ(shards.front().seqs(), want_ids)
               << "n=" << n << " arity=" << arity << " k=" << k
               << " shuffle=" << shuffle;
         }
 
         // MergeTree: same members through the deterministic balanced tree.
-        std::vector<ParetoArchive<int>> shards(k);
-        for (size_t i = 0; i < n; ++i) {
-          shards[i % k].InsertSequenced(costs[i], i, static_cast<int>(i));
-        }
-        ParetoArchive<int> merged =
-            ParetoArchive<int>::MergeTree(std::move(shards));
+        ParetoArchive merged =
+            ParetoArchive::MergeTree(ShardArchives(costs, k));
         merged.SortBySequence();
         EXPECT_EQ(merged.costs(), want_costs) << "n=" << n << " k=" << k;
-        EXPECT_EQ(merged.payloads(), want_ids) << "n=" << n << " k=" << k;
+        EXPECT_EQ(merged.seqs(), want_ids) << "n=" << n << " k=" << k;
       }
     }
   }
 }
 
 TEST(ParetoArchiveTest, MergeTreeOfEmptyInputIsEmpty) {
-  ParetoArchive<int> merged = ParetoArchive<int>::MergeTree({});
+  ParetoArchive merged = ParetoArchive::MergeTree({});
   EXPECT_TRUE(merged.empty());
-  std::vector<ParetoArchive<int>> empties(3);
-  merged = ParetoArchive<int>::MergeTree(std::move(empties));
+  std::vector<ParetoArchive> empties(3);
+  merged = ParetoArchive::MergeTree(std::move(empties));
   EXPECT_TRUE(merged.empty());
 }
 
 TEST(ParetoArchiveTest, MergeFromDrainsSourceAndCountsInserts) {
-  ParetoArchive<int> a;
-  ParetoArchive<int> b;
-  ASSERT_TRUE(a.InsertSequenced({1, 9}, 0, 0));
-  ASSERT_TRUE(b.InsertSequenced({9, 1}, 1, 1));
-  ASSERT_TRUE(b.InsertSequenced({5, 5}, 2, 2));
+  ParetoArchive a;
+  ParetoArchive b;
+  std::vector<size_t> evicted;
+  ASSERT_TRUE(a.InsertSequenced({1, 9}, 0, &evicted) ==
+              ParetoArchive::SequencedInsert::kInserted);
+  ASSERT_TRUE(b.InsertSequenced({9, 1}, 1, &evicted) ==
+              ParetoArchive::SequencedInsert::kInserted);
+  ASSERT_TRUE(b.InsertSequenced({5, 5}, 2, &evicted) ==
+              ParetoArchive::SequencedInsert::kInserted);
   a.MergeFrom(std::move(b));
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(a.size(), 3u);

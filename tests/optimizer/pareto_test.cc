@@ -162,6 +162,56 @@ TEST(ParetoFrontTest, FastPathsMatchDefinitionRandomized) {
   }
 }
 
+TEST(ParetoFrontTest, DistinctFrontRowsMatchFrontPlusFirstRepresentatives) {
+  // The online filter must equal ParetoFrontIndices with duplicate cost
+  // vectors reduced to their first occurrence, on duplicate-heavy grids.
+  Rng rng(37);
+  for (size_t n : kSweepSizes) {
+    for (size_t arity = 1; arity <= 4; ++arity) {
+      for (int64_t grid : {int64_t{2}, int64_t{6}}) {
+        const std::vector<Vector> costs = RandomCosts(&rng, n, arity, grid);
+        std::vector<size_t> expected;
+        std::vector<Vector> seen;
+        for (size_t i : ParetoFrontIndices(costs)) {
+          if (std::find(seen.begin(), seen.end(), costs[i]) != seen.end()) {
+            continue;
+          }
+          seen.push_back(costs[i]);
+          expected.push_back(i);
+        }
+        Matrix rows(costs.size(), arity);
+        for (size_t i = 0; i < costs.size(); ++i) rows.SetRow(i, costs[i]);
+        EXPECT_EQ(DistinctParetoFrontRows(rows), expected)
+            << "n=" << n << " arity=" << arity << " grid=" << grid;
+      }
+    }
+  }
+  EXPECT_TRUE(DistinctParetoFrontRows(Matrix(0, 2)).empty());
+
+  // A large anti-correlated front (the time/money trade-off of many VM
+  // counts) in shuffled order, with duplicates and dominated points.
+  std::vector<Vector> costs;
+  for (int i = 0; i < 600; ++i) {
+    costs.push_back({static_cast<double>(i), static_cast<double>(600 - i)});
+    costs.push_back({i + 0.5, 601.0 - i});  // dominated by the point above
+    if (i % 7 == 0) costs.push_back(costs[costs.size() - 2]);  // duplicate
+  }
+  for (size_t i = costs.size(); i > 1; --i) {
+    std::swap(costs[i - 1], costs[rng.Index(i)]);
+  }
+  std::vector<size_t> expected;
+  std::vector<Vector> seen;
+  for (size_t i : ParetoFrontIndices(costs)) {
+    if (std::find(seen.begin(), seen.end(), costs[i]) != seen.end()) continue;
+    seen.push_back(costs[i]);
+    expected.push_back(i);
+  }
+  ASSERT_EQ(expected.size(), 600u);
+  Matrix rows(costs.size(), 2);
+  for (size_t i = 0; i < costs.size(); ++i) rows.SetRow(i, costs[i]);
+  EXPECT_EQ(DistinctParetoFrontRows(rows), expected);
+}
+
 TEST(CrowdingDistanceTest, BoundaryPointsAreInfinite) {
   const std::vector<Vector> costs = {{1, 4}, {2, 3}, {3, 2}, {4, 1}};
   const std::vector<size_t> front = {0, 1, 2, 3};

@@ -181,6 +181,22 @@ std::vector<std::string> PlanStrings(const std::vector<QueryPlan>& plans) {
   return out;
 }
 
+// The whole plan space as one shard: the serial candidate stream.
+EnumerationShard SerialShard(const PlanEnumerator& enumerator) {
+  return enumerator.PartitionShards(JoinPlan(), 1).ValueOrDie().front();
+}
+
+// Candidate i of a chunk as the plan its closed form describes: the
+// template with every operator's VM count taken from the pick. Built
+// independently of PlanEnumerator::Materialize.
+std::string CandidateString(const CandidateChunk& chunk, size_t i) {
+  QueryPlan plan = *chunk.templates[chunk.template_of[i]];
+  for (PlanNode* node : plan.MutableNodes()) {
+    node->num_nodes = chunk.nodes(i)[*node->site];
+  }
+  return plan.ToString();
+}
+
 TEST(EnumeratorTest, ChunkedMatchesMaterializedAtAnyChunkSize) {
   Environment env = MakeEnvironment();
   PlanEnumerator enumerator(&env.federation, &env.catalog);
@@ -193,13 +209,20 @@ TEST(EnumeratorTest, ChunkedMatchesMaterializedAtAnyChunkSize) {
        {size_t{1}, size_t{3}, size_t{64}, size_t{1000000}}) {
     std::vector<std::string> got;
     size_t chunks = 0;
-    auto status = enumerator.EnumerateChunked(
-        JoinPlan(), chunk_size,
-        [&](std::vector<QueryPlan>&& chunk) -> Status {
-          EXPECT_FALSE(chunk.empty());
+    auto status = enumerator.StreamCandidates(
+        JoinPlan(), SerialShard(enumerator), chunk_size,
+        [&](const CandidateChunk& chunk) -> Status {
+          EXPECT_GT(chunk.size(), 0u);
           EXPECT_LE(chunk.size(), chunk_size);
+          EXPECT_EQ(chunk.num_sites, env.federation.num_sites());
+          EXPECT_EQ(chunk.template_of.size(), chunk.size());
+          EXPECT_EQ(chunk.site_nodes.size(),
+                    chunk.size() * chunk.num_sites);
           ++chunks;
-          for (QueryPlan& plan : chunk) got.push_back(plan.ToString());
+          for (size_t i = 0; i < chunk.size(); ++i) {
+            EXPECT_EQ(chunk.seqs[i], got.size());  // serial order
+            got.push_back(CandidateString(chunk, i));
+          }
           return Status::OK();
         });
     ASSERT_TRUE(status.ok()) << "chunk_size=" << chunk_size;
@@ -213,8 +236,9 @@ TEST(EnumeratorTest, ChunkedVisitorErrorAbortsEnumeration) {
   Environment env = MakeEnvironment();
   PlanEnumerator enumerator(&env.federation, &env.catalog);
   size_t calls = 0;
-  auto status = enumerator.EnumerateChunked(
-      JoinPlan(), 4, [&](std::vector<QueryPlan>&&) -> Status {
+  auto status = enumerator.StreamCandidates(
+      JoinPlan(), SerialShard(enumerator), 4,
+      [&](const CandidateChunk&) -> Status {
         ++calls;
         return Status::Internal("stop here");
       });
@@ -230,8 +254,8 @@ TEST(EnumeratorTest, ChunkedRespectsMaxPlansCap) {
   PlanEnumerator enumerator(&env.federation, &env.catalog, options);
   size_t total = 0;
   ASSERT_TRUE(enumerator
-                  .EnumerateChunked(JoinPlan(), 2,
-                                    [&](std::vector<QueryPlan>&& chunk) {
+                  .StreamCandidates(JoinPlan(), SerialShard(enumerator), 2,
+                                    [&](const CandidateChunk& chunk) {
                                       total += chunk.size();
                                       return Status::OK();
                                     })
@@ -242,11 +266,12 @@ TEST(EnumeratorTest, ChunkedRespectsMaxPlansCap) {
 TEST(EnumeratorTest, ChunkedRejectsBadArguments) {
   Environment env = MakeEnvironment();
   PlanEnumerator enumerator(&env.federation, &env.catalog);
-  auto noop = [](std::vector<QueryPlan>&&) { return Status::OK(); };
-  EXPECT_FALSE(enumerator.EnumerateChunked(JoinPlan(), 0, noop).ok());
+  auto noop = [](const CandidateChunk&) { return Status::OK(); };
+  const EnumerationShard all = SerialShard(enumerator);
+  EXPECT_FALSE(enumerator.StreamCandidates(JoinPlan(), all, 0, noop).ok());
   EXPECT_FALSE(enumerator
-                   .EnumerateChunked(JoinPlan(), 4,
-                                     PlanEnumerator::ChunkVisitor())
+                   .StreamCandidates(JoinPlan(), all, 4,
+                                     PlanEnumerator::CandidateVisitor())
                    .ok());
 }
 
@@ -255,18 +280,76 @@ TEST(EnumeratorTest, ChunkedReportsNoFeasiblePlan) {
   EnumeratorOptions options;
   options.node_counts = {16};  // exceeds both sites' max of 8
   PlanEnumerator enumerator(&env.federation, &env.catalog, options);
-  size_t calls = 0;
-  auto status = enumerator.EnumerateChunked(
-      JoinPlan(), 4, [&](std::vector<QueryPlan>&&) {
-        ++calls;
-        return Status::OK();
-      });
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(calls, 0u);
+  // The serial stream starts from the one-shard partition, which reports
+  // the infeasible space before any candidate exists.
+  auto shards = enumerator.PartitionShards(JoinPlan(), 1);
+  EXPECT_EQ(shards.status().code(), StatusCode::kFailedPrecondition);
 }
 
-// Runs every shard and returns plan strings indexed by global sequence
-// number, verifying chunk/seq alignment along the way.
+TEST(EnumeratorTest, NonPositiveNodeCountsRejectedBeforeAnyCandidate) {
+  Environment env = MakeEnvironment();
+  for (std::vector<int> counts :
+       {std::vector<int>{1, 0}, std::vector<int>{2, -1}}) {
+    EnumeratorOptions options;
+    options.node_counts = counts;
+    PlanEnumerator enumerator(&env.federation, &env.catalog, options);
+    // A one-candidate shard whose candidate uses only the valid count:
+    // the bad count must still fail before that candidate is streamed.
+    EnumerationShard first;
+    first.strata.push_back({0, 0, 1});
+    first.planned_emissions = 1;
+    size_t calls = 0;
+    const Status status = enumerator.StreamCandidates(
+        JoinPlan(), first, 1, [&](const CandidateChunk&) {
+          ++calls;
+          return Status::OK();
+        });
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_EQ(calls, 0u);
+    EXPECT_EQ(enumerator.EnumeratePhysical(JoinPlan()).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(enumerator.PartitionShards(JoinPlan(), 2).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(enumerator.Materialize(JoinPlan(), {0}).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(EnumeratorTest, MaterializeRebuildsEnumeratedPlansAtSequenceNumbers) {
+  Environment env = MakeEnvironment();
+  EnumeratorOptions options;
+  options.node_counts = {1, 2, 4, 16};  // 16 exceeds both sites' max of 8
+  PlanEnumerator enumerator(&env.federation, &env.catalog, options);
+  auto all = enumerator.EnumeratePhysical(JoinPlan());
+  ASSERT_TRUE(all.ok());
+  const uint64_t n = all->size();
+  // Out of order, with a repeat, first and last included.
+  const std::vector<uint64_t> seqs = {n - 1, 3, 0, 7, 3, n / 2};
+  auto rebuilt = enumerator.Materialize(JoinPlan(), seqs);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  ASSERT_EQ(rebuilt->size(), seqs.size());
+  for (size_t i = 0; i < seqs.size(); ++i) {
+    const QueryPlan& want = (*all)[seqs[i]];
+    EXPECT_EQ((*rebuilt)[i].ToString(), want.ToString()) << "seq " << seqs[i];
+    const std::vector<const PlanNode*> got_nodes = (*rebuilt)[i].Nodes();
+    const std::vector<const PlanNode*> want_nodes = want.Nodes();
+    ASSERT_EQ(got_nodes.size(), want_nodes.size());
+    for (size_t k = 0; k < got_nodes.size(); ++k) {
+      EXPECT_EQ(got_nodes[k]->site, want_nodes[k]->site);
+      EXPECT_EQ(got_nodes[k]->engine, want_nodes[k]->engine);
+      EXPECT_EQ(got_nodes[k]->num_nodes, want_nodes[k]->num_nodes);
+      EXPECT_EQ(got_nodes[k]->output_rows, want_nodes[k]->output_rows);
+      EXPECT_EQ(got_nodes[k]->output_bytes, want_nodes[k]->output_bytes);
+    }
+  }
+  EXPECT_TRUE(enumerator.Materialize(JoinPlan(), {})->empty());
+  EXPECT_EQ(enumerator.Materialize(JoinPlan(), {n}).status().code(),
+            StatusCode::kOutOfRange);
+}
+
+// Runs every shard and returns candidate plan strings indexed by global
+// sequence number, verifying chunk/seq alignment along the way.
 std::vector<std::string> CollectSharded(
     const PlanEnumerator& enumerator, const QueryPlan& logical,
     const std::vector<EnumerationShard>& shards, size_t total,
@@ -275,18 +358,18 @@ std::vector<std::string> CollectSharded(
   std::vector<char> seen(total, 0);
   for (const EnumerationShard& shard : shards) {
     uint64_t emitted = 0;
-    auto status = enumerator.EnumerateShardChunked(
+    auto status = enumerator.StreamCandidates(
         logical, shard, chunk_size,
-        [&](std::vector<QueryPlan>&& chunk,
-            std::vector<uint64_t>&& seqs) -> Status {
-          EXPECT_FALSE(chunk.empty());
+        [&](const CandidateChunk& chunk) -> Status {
+          EXPECT_GT(chunk.size(), 0u);
           EXPECT_LE(chunk.size(), chunk_size);
-          EXPECT_EQ(chunk.size(), seqs.size());
           for (size_t i = 0; i < chunk.size(); ++i) {
-            EXPECT_LT(seqs[i], total);
-            EXPECT_EQ(seen[seqs[i]], 0) << "duplicate seq " << seqs[i];
-            seen[seqs[i]] = 1;
-            by_seq[seqs[i]] = chunk[i].ToString();
+            EXPECT_LT(chunk.seqs[i], total);
+            if (chunk.seqs[i] >= total) continue;
+            EXPECT_EQ(seen[chunk.seqs[i]], 0)
+                << "duplicate seq " << chunk.seqs[i];
+            seen[chunk.seqs[i]] = 1;
+            by_seq[chunk.seqs[i]] = CandidateString(chunk, i);
           }
           emitted += chunk.size();
           return Status::OK();
@@ -396,26 +479,22 @@ TEST(EnumeratorTest, ShardChunkedRejectsBadArguments) {
   PlanEnumerator enumerator(&env.federation, &env.catalog);
   auto shards = enumerator.PartitionShards(JoinPlan(), 2);
   ASSERT_TRUE(shards.ok());
-  auto noop = [](std::vector<QueryPlan>&&, std::vector<uint64_t>&&) {
-    return Status::OK();
-  };
+  auto noop = [](const CandidateChunk&) { return Status::OK(); };
   EXPECT_FALSE(
-      enumerator.EnumerateShardChunked(JoinPlan(), (*shards)[0], 0, noop)
-          .ok());
+      enumerator.StreamCandidates(JoinPlan(), (*shards)[0], 0, noop).ok());
   EXPECT_FALSE(enumerator
-                   .EnumerateShardChunked(JoinPlan(), (*shards)[0], 4,
-                                          PlanEnumerator::SequencedChunkVisitor())
+                   .StreamCandidates(JoinPlan(), (*shards)[0], 4,
+                                     PlanEnumerator::CandidateVisitor())
                    .ok());
   // An empty shard is fine: no chunks, no error.
   EnumerationShard empty;
   size_t calls = 0;
   EXPECT_TRUE(enumerator
-                  .EnumerateShardChunked(
-                      JoinPlan(), empty, 4,
-                      [&](std::vector<QueryPlan>&&, std::vector<uint64_t>&&) {
-                        ++calls;
-                        return Status::OK();
-                      })
+                  .StreamCandidates(JoinPlan(), empty, 4,
+                                    [&](const CandidateChunk&) {
+                                      ++calls;
+                                      return Status::OK();
+                                    })
                   .ok());
   EXPECT_EQ(calls, 0u);
 }

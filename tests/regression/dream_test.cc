@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "support/simd_testing.h"
 
 namespace midas {
 namespace {
@@ -174,7 +173,7 @@ TEST(DreamEstimateTest, PredictBatchMatchesScalarExactly) {
     const Vector scalar = est->Predict(queries[i]).ValueOrDie();
     for (size_t k = 0; k < scalar.size(); ++k) {
       SCOPED_TRACE("row " + std::to_string(i) + " metric " + std::to_string(k));
-      MIDAS_EXPECT_SIMD_EQ(batch->At(i, k), scalar[k]);
+      EXPECT_EQ(batch->At(i, k), scalar[k]);
     }
   }
 }
@@ -209,7 +208,7 @@ TEST(DreamTest, PredictCostsBatchMatchesPerQueryPredictCosts) {
     ASSERT_EQ(scalar.size(), batch->cols());
     for (size_t k = 0; k < scalar.size(); ++k) {
       SCOPED_TRACE("row " + std::to_string(i) + " metric " + std::to_string(k));
-      MIDAS_EXPECT_SIMD_EQ(batch->At(i, k), scalar[k]);
+      EXPECT_EQ(batch->At(i, k), scalar[k]);
     }
   }
 }

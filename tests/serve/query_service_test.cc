@@ -1,13 +1,14 @@
 #include "serve/query_service.h"
 
+#include <atomic>
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "midas/medical.h"
-#include "support/simd_testing.h"
 
 namespace midas {
 namespace {
@@ -66,8 +67,7 @@ TEST(QueryServiceTest, OutcomesMatchSerialRunQuery) {
               serial->moqp.chosen_plan().ToString());
     ASSERT_EQ(served->outcome.predicted.size(), serial->predicted.size());
     for (size_t k = 0; k < serial->predicted.size(); ++k) {
-      MIDAS_EXPECT_SIMD_EQ(served->outcome.predicted[k],
-                           serial->predicted[k]);
+      EXPECT_EQ(served->outcome.predicted[k], serial->predicted[k]);
     }
     EXPECT_DOUBLE_EQ(served->outcome.actual.seconds, serial->actual.seconds);
     EXPECT_DOUBLE_EQ(served->outcome.actual.dollars, serial->actual.dollars);
@@ -78,17 +78,25 @@ TEST(QueryServiceTest, TenantInflightCapRejectsBurst) {
   MidasSystem system = MakeSystem();
   QueryPlan query = MakeExample21Query().ValueOrDie();
   ASSERT_TRUE(system.Bootstrap("s", query, 16).ok());
+  // The first request is held inside its feedback publication (which
+  // precedes its release) until all three submits are in, so the first two
+  // provably occupy the tenant's dispatched + queued slots when the third
+  // arrives, however fast an optimize + execute is.
+  auto held = std::make_shared<std::atomic<bool>>(true);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  system.modelling().publisher().AddPublishListener(
+      [held, released](uint64_t) {
+        if (held->exchange(false)) released.wait();
+      });
   ServeOptions options;
   options.slots = 1;
   options.tenant_inflight_cap = 2;
   QueryService service(&system, options);
-  // Three back-to-back submits: the first two occupy the tenant's queued +
-  // dispatched slots; the third arrives microseconds later, long before a
-  // full optimize + execute could have released the first, so it must be
-  // rejected.
   auto first = service.Submit("s", QueryRequest{"s", query, MakePolicy(0.5)});
   auto second = service.Submit("s", QueryRequest{"s", query, MakePolicy(0.5)});
   auto third = service.Submit("s", QueryRequest{"s", query, MakePolicy(0.5)});
+  release.set_value();
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(third.status().code(), StatusCode::kResourceExhausted);
