@@ -1,6 +1,6 @@
-// Optimizer-quality comparison across the algorithms §2.4 lists as
-// candidates for the Multi-Objective Optimizer module: NSGA-II, the
-// authors' NSGA-G, MOEA/D, SPEA2, and the WSM weight-sweep baseline, on the ZDT
+// Optimizer-quality comparison of the Multi-Objective Optimizer module's
+// algorithms: NSGA-II (the paper's optimizer), the authors' NSGA-G, and
+// the WSM weight-sweep baseline Figure 3 contrasts them with, on the ZDT
 // suite. Reports hypervolume (higher is better), IGD against a dense
 // sampling of the true front (lower is better), and wall time.
 
@@ -11,10 +11,8 @@
 #include "common/text_table.h"
 #include "optimizer/metrics.h"
 #include "optimizer/pareto.h"
-#include "optimizer/moead.h"
 #include "optimizer/nsga2.h"
 #include "optimizer/nsga_g.h"
-#include "optimizer/spea2.h"
 #include "optimizer/wsm.h"
 
 namespace midas {
@@ -105,13 +103,6 @@ int main() {
     NsgaGOptions nsga_g_options;
     nsga_g_options.population_size = 100;
     nsga_g_options.generations = 150;
-    MoeadOptions moead_options;
-    moead_options.population_size = 100;
-    moead_options.generations = 150;
-    Spea2Options spea2_options;
-    spea2_options.population_size = 100;
-    spea2_options.archive_size = 100;
-    spea2_options.generations = 150;
 
     struct Entry {
       std::string name;
@@ -120,8 +111,6 @@ int main() {
     std::vector<Entry> entries;
     entries.push_back({"NSGA-II", RunPareto(Nsga2(nsga2_options), *problem)});
     entries.push_back({"NSGA-G", RunPareto(NsgaG(nsga_g_options), *problem)});
-    entries.push_back({"MOEA/D", RunPareto(Moead(moead_options), *problem)});
-    entries.push_back({"SPEA2", RunPareto(Spea2(spea2_options), *problem)});
     entries.push_back({"WSM sweep (10 runs)", RunWsmSweep(*problem)});
 
     std::cout << name << "\n";
@@ -139,7 +128,7 @@ int main() {
     table.Print(std::cout);
     std::cout << "\n";
   }
-  std::cout << "Reading: the three Pareto methods are comparable (NSGA-G "
+  std::cout << "Reading: the two Pareto methods are comparable (NSGA-G "
                "trades a little quality for cheaper selection); the WSM "
                "sweep collapses on the non-convex ZDT2 and the "
                "disconnected ZDT3 — why MIDAS uses Pareto optimizers.\n";

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-
-#include "exec/lower.h"
-#include "tpch/table_provider.h"
 
 namespace midas {
 
@@ -17,7 +13,10 @@ constexpr double kGoldenAngle = 2.399963229728653;  // de-correlates site phases
 ExecutionSimulator::ExecutionSimulator(const Federation* federation,
                                        const Catalog* catalog,
                                        SimulatorOptions options)
-    : federation_(federation), catalog_(catalog), options_(options) {
+    : federation_(federation),
+      catalog_(catalog),
+      options_(options),
+      noise_(options_.variance, options_.seed + 999) {
   for (int k = 0; k < kNumEngineKinds; ++k) {
     profiles_[k] = DefaultCostProfile(static_cast<EngineKind>(k));
   }
@@ -28,8 +27,6 @@ ExecutionSimulator::ExecutionSimulator(const Federation* federation,
     site_opts.drift_phase += kGoldenAngle * static_cast<double>(s);
     site_variance_.emplace_back(site_opts, options_.seed + 1000 + s);
   }
-  noise_ = std::make_unique<VarianceModel>(options_.variance,
-                                           options_.seed + 999);
 }
 
 void ExecutionSimulator::SetProfile(EngineKind kind, CostProfile profile) {
@@ -134,128 +131,6 @@ StatusOr<ExecutionSimulator::BaseCosts> ExecutionSimulator::ComputeBase(
   return base;
 }
 
-Status ExecutionSimulator::EnsureProvider() const {
-  if (provider_ != nullptr) return Status::OK();
-  if (catalog_ == nullptr) {
-    return Status::FailedPrecondition("simulator missing catalog");
-  }
-  table_cache_ = options_.measured.shared_cache != nullptr
-                     ? options_.measured.shared_cache
-                     : std::make_shared<exec::TableCache>(
-                           options_.measured.table_cache_bytes);
-  provider_ = std::make_unique<tpch::CachedTableProvider>(
-      tpch::DbGen(*catalog_, options_.measured.data_seed), table_cache_,
-      options_.measured.max_rows_per_table);
-  return Status::OK();
-}
-
-StatusOr<exec::ExecResult> ExecutionSimulator::ExecuteMeasured(
-    const QueryPlan& plan) const {
-  if (catalog_ == nullptr) {
-    return Status::FailedPrecondition("simulator missing catalog");
-  }
-  MIDAS_RETURN_IF_ERROR(EnsureProvider());
-  exec::LowerOptions lower_opts;
-  lower_opts.max_rows_per_table = options_.measured.max_rows_per_table;
-  MIDAS_ASSIGN_OR_RETURN(exec::LoweredPlan lowered,
-                         exec::LowerPlan(*catalog_, plan, lower_opts));
-  exec::ExecOptions exec_opts;
-  exec_opts.batch_rows = options_.measured.batch_rows;
-  exec_opts.engine = options_.measured.use_row_oracle
-                         ? exec::EngineKindExec::kRowOracle
-                         : exec::EngineKindExec::kVectorized;
-  return exec::ExecutePlan(lowered, provider_.get(), exec_opts);
-}
-
-StatusOr<ExecutionSimulator::BaseCosts>
-ExecutionSimulator::ComputeMeasuredBase(const QueryPlan& plan) const {
-  if (federation_ == nullptr || catalog_ == nullptr) {
-    return Status::FailedPrecondition("simulator missing environment");
-  }
-  MIDAS_ASSIGN_OR_RETURN(exec::ExecResult result, ExecuteMeasured(plan));
-
-  const std::vector<const PlanNode*> nodes = plan.Nodes();
-  if (result.stats.size() != nodes.size()) {
-    return Status::Internal("measured stats/plan node count mismatch");
-  }
-  std::unordered_map<const PlanNode*, size_t> node_index;
-  node_index.reserve(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) node_index[nodes[i]] = i;
-
-  // The reference profile the measured host stands in for: an operator's
-  // measured self-time is scaled by how much slower (or faster) the plan's
-  // engine is than the reference at that operator class.
-  const CostProfile reference;
-
-  BaseCosts base;
-  base.sites.resize(federation_->num_sites());
-  base.result_digest = result.digest;
-  std::vector<std::pair<SiteId, EngineKind>> started;
-
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const PlanNode* node = nodes[i];
-    if (!node->site.has_value() || !node->engine.has_value()) {
-      return Status::InvalidArgument(
-          "plan node lacks physical annotations (run the enumerator first)");
-    }
-    const SiteId site = *node->site;
-    if (site >= base.sites.size()) {
-      return Status::OutOfRange("plan references unknown site");
-    }
-    const CostProfile& prof = profile(*node->engine);
-    const double par = EffectiveParallelism(prof, node->num_nodes);
-
-    SiteUsage& usage = base.sites[site];
-    usage.used = true;
-    usage.max_nodes = std::max(usage.max_nodes, node->num_nodes);
-
-    const auto key = std::make_pair(site, *node->engine);
-    if (std::find(started.begin(), started.end(), key) == started.end()) {
-      started.push_back(key);
-      usage.busy_seconds += prof.startup_seconds;
-    }
-
-    double throttle = 1.0;
-    switch (node->kind) {
-      case OperatorKind::kScan:
-        throttle = reference.scan_mib_per_second / prof.scan_mib_per_second;
-        break;
-      case OperatorKind::kJoin:
-        throttle = prof.join_tuple_seconds / reference.join_tuple_seconds;
-        break;
-      default:
-        throttle = prof.cpu_tuple_seconds / reference.cpu_tuple_seconds;
-        break;
-    }
-    usage.busy_seconds += result.stats[i].seconds * throttle / par;
-
-    // Inter-site movement charges what the child actually produced.
-    for (const auto& child : node->children) {
-      if (!child->site.has_value()) continue;
-      const SiteId from = *child->site;
-      if (from == site) continue;
-      const double bytes = result.stats[node_index.at(child.get())].output_bytes;
-      MIDAS_ASSIGN_OR_RETURN(
-          double xfer_s,
-          federation_->network().TransferSeconds(from, site, bytes));
-      MIDAS_ASSIGN_OR_RETURN(
-          double xfer_cost,
-          federation_->network().TransferCost(from, site, bytes));
-      base.transfer_seconds += xfer_s;
-      base.transfer_dollars += xfer_cost;
-      base.bytes_transferred += bytes;
-    }
-  }
-  return base;
-}
-
-StatusOr<ExecutionSimulator::BaseCosts>
-ExecutionSimulator::ComputeBaseForSource(const QueryPlan& plan) const {
-  return options_.cost_source == CostSource::kMeasured
-             ? ComputeMeasuredBase(plan)
-             : ComputeBase(plan);
-}
-
 StatusOr<Measurement> ExecutionSimulator::Assemble(
     const BaseCosts& base, const std::vector<double>& load_factors,
     double noise, int64_t timestamp) const {
@@ -285,12 +160,11 @@ StatusOr<Measurement> ExecutionSimulator::Assemble(
   m.dollars = dollars;
   m.bytes_transferred = base.bytes_transferred;
   m.timestamp = timestamp;
-  m.result_digest = base.result_digest;
   return m;
 }
 
 StatusOr<Measurement> ExecutionSimulator::Execute(const QueryPlan& plan) {
-  MIDAS_ASSIGN_OR_RETURN(BaseCosts base, ComputeBaseForSource(plan));
+  MIDAS_ASSIGN_OR_RETURN(BaseCosts base, ComputeBase(plan));
   const double t = static_cast<double>(clock_);
   std::vector<double> load(federation_->num_sites(), 1.0);
   double noise = 1.0;
@@ -298,7 +172,7 @@ StatusOr<Measurement> ExecutionSimulator::Execute(const QueryPlan& plan) {
     for (size_t s = 0; s < site_variance_.size(); ++s) {
       load[s] = site_variance_[s].LoadFactor(t);
     }
-    noise = noise_->NoiseMultiplier();
+    noise = noise_.NoiseMultiplier();
   } else {
     for (size_t s = 0; s < site_variance_.size(); ++s) {
       load[s] = site_variance_[s].SeasonalFactor(t);
@@ -311,7 +185,7 @@ StatusOr<Measurement> ExecutionSimulator::Execute(const QueryPlan& plan) {
 
 StatusOr<Measurement> ExecutionSimulator::ExpectedCostAt(
     const QueryPlan& plan, int64_t timestamp) const {
-  MIDAS_ASSIGN_OR_RETURN(BaseCosts base, ComputeBaseForSource(plan));
+  MIDAS_ASSIGN_OR_RETURN(BaseCosts base, ComputeBase(plan));
   std::vector<double> load(federation_->num_sites(), 1.0);
   for (size_t s = 0; s < site_variance_.size(); ++s) {
     load[s] = site_variance_[s].SeasonalFactor(static_cast<double>(timestamp));

@@ -3,13 +3,10 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "engine/cost_profile.h"
 #include "engine/variance.h"
-#include "exec/engine.h"
-#include "exec/table_cache.h"
 #include "federation/federation.h"
 #include "query/plan.h"
 
@@ -27,42 +24,6 @@ struct Measurement {
   double bytes_transferred = 0.0;
   /// Logical time of the execution.
   int64_t timestamp = 0;
-  /// Order-sensitive digest of the query's result table. Zero in
-  /// analytical mode (nothing executes); in measured mode it lets callers
-  /// assert result identity (across batch sizes, engines, plan variants)
-  /// while wall-clock costs legitimately vary.
-  uint64_t result_digest = 0;
-};
-
-/// Where per-operator base costs come from.
-enum class CostSource {
-  /// Closed-form per-operator formulas over estimated cardinalities (the
-  /// fast path — no data is materialized).
-  kAnalytical,
-  /// Really run the plan on the columnar execution engine over
-  /// deterministic synthetic data, then scale each operator's *measured*
-  /// self-time by its engine profile (see MeasuredOptions).
-  kMeasured,
-};
-
-/// Knobs for CostSource::kMeasured.
-struct MeasuredOptions {
-  /// Rows per batch in the vectorized engine. Results are bit-identical
-  /// at any value; throughput peaks around a few thousand.
-  size_t batch_rows = 4096;
-  /// Run the row-at-a-time reference interpreter instead of the
-  /// vectorized engine (orders of magnitude slower; for validation).
-  bool use_row_oracle = false;
-  /// Seed of the deterministic data generator backing the scans.
-  uint64_t data_seed = 2019;
-  /// Caps rows materialized per base table (0 = full catalog
-  /// cardinality). Applied identically to lowering and materialization.
-  uint64_t max_rows_per_table = 0;
-  /// Byte budget of the simulator-owned table cache (ignored when
-  /// `shared_cache` is set).
-  size_t table_cache_bytes = 512ull << 20;
-  /// Optional cache shared across simulators, pooling the byte budget.
-  std::shared_ptr<exec::TableCache> shared_cache;
 };
 
 struct SimulatorOptions {
@@ -71,8 +32,6 @@ struct SimulatorOptions {
   /// When false the simulator returns expected (seasonal-only) costs and
   /// draws no randomness — useful for deterministic tests.
   bool stochastic = true;
-  CostSource cost_source = CostSource::kAnalytical;
-  MeasuredOptions measured;
 };
 
 /// \brief Analytical multi-engine execution simulator.
@@ -103,17 +62,6 @@ class ExecutionSimulator {
   void SetProfile(EngineKind kind, CostProfile profile);
   const CostProfile& profile(EngineKind kind) const;
 
-  /// Runs `plan` for real on the execution engine chosen by
-  /// options.measured (vectorized or row oracle) over deterministic
-  /// synthetic data, returning the full per-operator result — the detailed
-  /// view behind measured mode, exposed for tests and benchmarks. Works
-  /// regardless of cost_source and leaves clock/variance state untouched.
-  StatusOr<exec::ExecResult> ExecuteMeasured(const QueryPlan& plan) const;
-
-  /// The table cache backing measured execution (nullptr until the first
-  /// measured run) — for cache-behaviour assertions.
-  const exec::TableCache* table_cache() const { return table_cache_.get(); }
-
  private:
   struct SiteUsage {
     double busy_seconds = 0.0;  // noise-free compute attributed to the site
@@ -125,22 +73,10 @@ class ExecutionSimulator {
     double transfer_seconds = 0.0;
     double transfer_dollars = 0.0;
     double bytes_transferred = 0.0;
-    uint64_t result_digest = 0;  // measured mode only
   };
 
   /// Noise-free per-site cost breakdown of a plan.
   StatusOr<BaseCosts> ComputeBase(const QueryPlan& plan) const;
-
-  /// Measured-mode counterpart: executes the plan, then charges each
-  /// operator its measured self-time scaled by the engine profile's
-  /// slowdown relative to the reference profile, Amdahl-divided across the
-  /// node's VMs; transfers charge the *measured* child output bytes.
-  StatusOr<BaseCosts> ComputeMeasuredBase(const QueryPlan& plan) const;
-
-  /// Dispatches on options_.cost_source.
-  StatusOr<BaseCosts> ComputeBaseForSource(const QueryPlan& plan) const;
-
-  Status EnsureProvider() const;
 
   StatusOr<Measurement> Assemble(const BaseCosts& base,
                                  const std::vector<double>& load_factors,
@@ -151,11 +87,7 @@ class ExecutionSimulator {
   SimulatorOptions options_;
   std::array<CostProfile, kNumEngineKinds> profiles_;
   std::vector<VarianceModel> site_variance_;  // one per federation site
-  mutable std::unique_ptr<VarianceModel> noise_;
-  // Measured-mode machinery, built lazily on the first measured run (const
-  // methods may trigger it, hence mutable).
-  mutable std::shared_ptr<exec::TableCache> table_cache_;
-  mutable std::unique_ptr<exec::TableProvider> provider_;
+  VarianceModel noise_;
   int64_t clock_ = 0;
 };
 

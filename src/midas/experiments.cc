@@ -237,6 +237,9 @@ StatusOr<std::vector<R2Row>> SyntheticR2Sweep(size_t m_max,
                                               double noise_sigma,
                                               uint64_t seed) {
   if (m_max < 4) return Status::InvalidArgument("m_max must be >= 4");
+  if (!(noise_sigma >= 0.0)) {
+    return Status::InvalidArgument("noise_sigma must be >= 0");
+  }
   Rng rng(seed);
   std::vector<Vector> xs;
   Vector ys;
@@ -244,8 +247,10 @@ StatusOr<std::vector<R2Row>> SyntheticR2Sweep(size_t m_max,
     const double x1 = rng.Uniform();
     const double x2 = rng.Uniform(0.0, 5.0);
     xs.push_back({x1, x2});
-    ys.push_back(12.0 + 6.0 * x1 + 3.2 * x2 +
-                 rng.Gaussian(0.0, noise_sigma));
+    // std::normal_distribution requires stddev > 0: clean data draws none.
+    const double noise = noise_sigma > 0.0 ? rng.Gaussian(0.0, noise_sigma)
+                                           : 0.0;
+    ys.push_back(12.0 + 6.0 * x1 + 3.2 * x2 + noise);
   }
   std::vector<R2Row> rows;
   for (size_t m = 4; m <= m_max; ++m) {

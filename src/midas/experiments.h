@@ -70,7 +70,9 @@ struct R2Row {
 StatusOr<std::vector<R2Row>> PaperTable2Rows();
 
 /// Reproduces the Table 2 *shape* on synthetic data: R² of an MLR fitted on
-/// the newest m in [L+2, m_max] observations of a linear-plus-noise stream.
+/// the newest m in [L+2, m_max] observations of a linear-plus-noise stream
+/// (Gaussian noise of stddev `noise_sigma`; 0 gives noise-free data).
+/// InvalidArgument when m_max < 4 or noise_sigma is negative or NaN.
 StatusOr<std::vector<R2Row>> SyntheticR2Sweep(size_t m_max, double noise_sigma,
                                               uint64_t seed);
 

@@ -1,6 +1,7 @@
 #include "regression/training_set.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace midas {
 
@@ -8,6 +9,11 @@ namespace {
 /// First buffer size; small histories are common in tests and the drift
 /// experiments trim aggressively.
 constexpr size_t kInitialCapacity = 16;
+
+bool AllFinite(const Vector& values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
+}
 }  // namespace
 
 TrainingWindow TrainingWindow::Newest(size_t m) const {
@@ -34,6 +40,11 @@ Status TrainingSet::Add(Observation obs) {
   }
   if (obs.costs.size() != num_metrics()) {
     return Status::InvalidArgument("observation metric arity mismatch");
+  }
+  // A NaN cost would make every R² NaN, and Algorithm 1's R² < R²_require
+  // test is false for NaN, so the first window would "converge".
+  if (!AllFinite(obs.features) || !AllFinite(obs.costs)) {
+    return Status::InvalidArgument("observation has a non-finite value");
   }
   if (count_ > 0 && obs.timestamp < at(count_ - 1).timestamp) {
     return Status::InvalidArgument(

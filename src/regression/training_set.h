@@ -141,8 +141,9 @@ class TrainingSet {
   /// a window outlives the generation it was taken from.
   uint64_t generation() const { return generation_; }
 
-  /// Appends an observation. Fails when dimensions mismatch or the
-  /// timestamp is older than the latest stored one.
+  /// Appends an observation. Fails when dimensions mismatch, a feature or
+  /// cost is NaN or infinite, or the timestamp is older than the latest
+  /// stored one.
   Status Add(Observation obs);
 
   /// Convenience overload that stamps the observation with

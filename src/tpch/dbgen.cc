@@ -29,10 +29,8 @@ constexpr const char* kContainers[] = {"SM CASE", "SM BOX", "MED BOX",
                                        "MED BAG", "LG CASE", "LG BOX",
                                        "JUMBO PKG", "WRAP CASE"};
 
-// dbgen date range: 1992-01-01 plus 0..2556 days. Writes the ISO-8601 form
-// into `buf` (at least 40 bytes) and returns its length — the columnar path
-// appends straight into the string arena with no temporary allocation.
-size_t FormatDateInto(int64_t day_offset, char* buf, size_t buf_size) {
+// dbgen date range: 1992-01-01 plus 0..2556 days, in ISO-8601 form.
+std::string FormatDate(int64_t day_offset) {
   // Simple proleptic conversion good enough for the 1992-1998 window.
   static constexpr int kDaysInMonth[] = {31, 28, 31, 30, 31, 30,
                                          31, 31, 30, 31, 30, 31};
@@ -52,17 +50,12 @@ size_t FormatDateInto(int64_t day_offset, char* buf, size_t buf_size) {
     remaining -= dim;
     ++month;
   }
-  const int written = std::snprintf(buf, buf_size, "%04d-%02d-%02d", year,
-                                    month + 1, static_cast<int>(remaining) + 1);
-  return written > 0 ? static_cast<size_t>(written) : 0;
-}
-
-std::string FormatDate(int64_t day_offset) {
   // Sized for the full int range so -Wformat-truncation holds under every
   // sanitizer's value-range analysis, not just -O2's.
   char buf[40];
-  const size_t n = FormatDateInto(day_offset, buf, sizeof(buf));
-  return std::string(buf, n);
+  const int written = std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", year,
+                                    month + 1, static_cast<int>(remaining) + 1);
+  return std::string(buf, written > 0 ? static_cast<size_t>(written) : 0);
 }
 
 bool IsPrimaryKey(const std::string& table, const std::string& column) {
@@ -77,24 +70,17 @@ bool IsPrimaryKey(const std::string& table, const std::string& column) {
 // Longest entry in kWords, for one-shot reservations.
 constexpr size_t kMaxWordLen = 12;  // "instructions"
 
-/// Builds padded filler text into `out`, reusing its capacity. The old
-/// per-cell `std::string` return re-grew a fresh buffer word by word for
-/// every cell — at lineitem scale that was millions of small reallocations;
-/// one reserve covers the worst-case overshoot before the final trim.
-void MakeTextInto(Rng* rng, double width, std::string* out) {
-  out->clear();
-  const size_t target = static_cast<size_t>(width);
-  out->reserve(target + kMaxWordLen + 1);
-  while (out->size() < target) {
-    if (!out->empty()) *out += ' ';
-    *out += kWords[rng->Index(kNumWords)];
-  }
-  if (out->size() > target && target > 0) out->resize(target);
-}
-
+/// Builds filler text of `width` bytes from the word pool. One reserve
+/// covers the worst-case overshoot before the final trim.
 std::string MakeText(Rng* rng, double width) {
   std::string out;
-  MakeTextInto(rng, width, &out);
+  const size_t target = static_cast<size_t>(width);
+  out.reserve(target + kMaxWordLen + 1);
+  while (out.size() < target) {
+    if (!out.empty()) out += ' ';
+    out += kWords[rng->Index(kNumWords)];
+  }
+  if (out.size() > target && target > 0) out.resize(target);
   return out;
 }
 
@@ -110,9 +96,6 @@ DbGen::DbGen(double scale_factor, uint64_t seed)
   auto catalog = MakeCatalog(scale_factor > 0.0 ? scale_factor : 1.0);
   if (catalog.ok()) catalog_ = std::move(catalog).ValueOrDie();
 }
-
-DbGen::DbGen(Catalog catalog, uint64_t seed)
-    : scale_factor_(1.0), seed_(seed), catalog_(std::move(catalog)) {}
 
 StatusOr<const TableDef*> DbGen::FindTable(const std::string& table) const {
   if (scale_factor_ <= 0.0) {
@@ -178,92 +161,6 @@ StatusOr<Row> DbGen::GenerateRow(const std::string& table,
     }
   }
   return row;
-}
-
-StatusOr<exec::ColumnTable> DbGen::GenerateColumns(const std::string& table,
-                                                   uint64_t begin,
-                                                   uint64_t end) const {
-  MIDAS_ASSIGN_OR_RETURN(const TableDef* def, FindTable(table));
-  if (end == 0) end = def->row_count;
-  if (begin > end || end > def->row_count) {
-    return Status::OutOfRange("row range beyond table cardinality");
-  }
-  const uint64_t rows = end - begin;
-
-  exec::ColumnTable out;
-  out.rows = rows;
-  out.columns.reserve(def->columns.size());
-  for (const ColumnDef& col : def->columns) {
-    out.schema.Append(exec::Field{
-        col.name, col.type, std::max<uint64_t>(1, col.distinct_values)});
-    exec::Column column(col.type);
-    if (col.type == ColumnType::kString || col.type == ColumnType::kDate) {
-      column.Reserve(static_cast<size_t>(rows),
-                     static_cast<size_t>(static_cast<double>(rows) *
-                                         (col.avg_width_bytes + 1.0)));
-    } else {
-      column.Reserve(static_cast<size_t>(rows));
-    }
-    out.columns.push_back(std::move(column));
-  }
-
-  // Same per-row deterministic streams as GenerateRow (cell-for-cell
-  // identical draws), but every value lands directly in its column buffer.
-  const size_t table_hash = std::hash<std::string>{}(table);
-  std::string text;  // reused pad buffer — no per-cell allocation
-  char buf[40];
-  for (uint64_t index = begin; index < end; ++index) {
-    Rng rng(seed_ ^ (table_hash + index * 0x9E3779B97F4A7C15ull));
-    for (size_t c = 0; c < def->columns.size(); ++c) {
-      const ColumnDef& col = def->columns[c];
-      exec::Column& dst = out.columns[c];
-      if (IsPrimaryKey(table, col.name)) {
-        dst.AppendInt(static_cast<int64_t>(index + 1));
-        continue;
-      }
-      switch (col.type) {
-        case ColumnType::kInt: {
-          const int64_t ndv = static_cast<int64_t>(
-              std::max<uint64_t>(1, col.distinct_values));
-          dst.AppendInt(rng.UniformInt(1, ndv));
-          break;
-        }
-        case ColumnType::kDouble: {
-          dst.AppendDouble(std::round(rng.Uniform(1.0, 100000.0) * 100.0) /
-                           100.0);
-          break;
-        }
-        case ColumnType::kDate: {
-          const size_t n =
-              FormatDateInto(rng.UniformInt(0, 2556), buf, sizeof(buf));
-          dst.AppendString(std::string_view(buf, n));
-          break;
-        }
-        case ColumnType::kString: {
-          if (col.name == "l_shipmode") {
-            dst.AppendString(Pick(&rng, kShipModes));
-          } else if (col.name == "c_mktsegment") {
-            dst.AppendString(Pick(&rng, kSegments));
-          } else if (col.name == "o_orderpriority") {
-            dst.AppendString(Pick(&rng, kPriorities));
-          } else if (col.name == "p_container") {
-            dst.AppendString(Pick(&rng, kContainers));
-          } else if (col.name == "p_brand") {
-            const int written =
-                std::snprintf(buf, sizeof(buf), "Brand#%lld",
-                              static_cast<long long>(rng.UniformInt(11, 55)));
-            dst.AppendString(
-                std::string_view(buf, static_cast<size_t>(written)));
-          } else {
-            MakeTextInto(&rng, col.avg_width_bytes, &text);
-            dst.AppendString(text);
-          }
-          break;
-        }
-      }
-    }
-  }
-  return out;
 }
 
 Status DbGen::Generate(

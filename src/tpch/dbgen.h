@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "exec/column.h"
 #include "query/schema.h"
 
 namespace midas {
@@ -31,12 +30,6 @@ class DbGen {
  public:
   explicit DbGen(double scale_factor, uint64_t seed = 2019);
 
-  /// Generates over an arbitrary catalog (medical schemas, test tables)
-  /// instead of the TPC-H one: row counts and value domains are taken from
-  /// `catalog` as-is, with the same deterministic per-row streams.
-  /// scale_factor() reports 1.0 for such a generator.
-  DbGen(Catalog catalog, uint64_t seed);
-
   double scale_factor() const { return scale_factor_; }
   uint64_t seed() const { return seed_; }
   const Catalog& catalog() const { return catalog_; }
@@ -46,16 +39,6 @@ class DbGen {
 
   /// Generates row `index` (0-based) of `table`.
   StatusOr<Row> GenerateRow(const std::string& table, uint64_t index) const;
-
-  /// Generates rows [begin, end) of `table` directly into typed columns
-  /// (end = 0 means the full table). Cell-for-cell identical to
-  /// GenerateRow — same per-row streams — but writes values straight into
-  /// contiguous column buffers and string arenas, with no per-cell variant
-  /// or string allocation. This is the materialization path behind the
-  /// vectorized execution engine's table cache.
-  StatusOr<exec::ColumnTable> GenerateColumns(const std::string& table,
-                                              uint64_t begin = 0,
-                                              uint64_t end = 0) const;
 
   /// Streams all rows of `table` through `sink`, stopping early if `sink`
   /// returns false. Memory use is O(1) rows.

@@ -183,6 +183,34 @@ TEST(SimulatorTest, ExpectedCostFollowsSeasonalLoad) {
   EXPECT_NE(peak, trough);
 }
 
+TEST(SimulatorTest, ExpectedCostAtLeavesExecutionStreamUntouched) {
+  // The plan-quality oracle costs every candidate with ExpectedCostAt
+  // between executions; that must neither draw noise nor advance the AR
+  // load state or the clock, or the served run would change.
+  Environment env = MakeEnvironment();
+  SimulatorOptions options;  // default stochastic variance
+  options.seed = 7;
+  ExecutionSimulator plain(&env.federation, &env.catalog, options);
+  ExecutionSimulator probed(&env.federation, &env.catalog, options);
+  const QueryPlan scan = ScanPlan(env, 2);
+  const QueryPlan join = JoinPlan(env, env.site_b, EngineKind::kPostgres);
+  for (int i = 0; i < 6; ++i) {
+    const QueryPlan& plan = i % 2 == 0 ? scan : join;
+    const int64_t now = probed.now();
+    for (int64_t t : {now, now + 1, int64_t{0}, int64_t{75}}) {
+      ASSERT_TRUE(probed.ExpectedCostAt(scan, t).ok());
+      ASSERT_TRUE(probed.ExpectedCostAt(join, t).ok());
+    }
+    const Measurement a = plain.Execute(plan).ValueOrDie();
+    const Measurement b = probed.Execute(plan).ValueOrDie();
+    EXPECT_EQ(a.seconds, b.seconds) << "execution " << i;
+    EXPECT_EQ(a.dollars, b.dollars) << "execution " << i;
+    EXPECT_EQ(a.bytes_transferred, b.bytes_transferred) << "execution " << i;
+    EXPECT_EQ(a.timestamp, b.timestamp) << "execution " << i;
+    EXPECT_EQ(plain.now(), probed.now());
+  }
+}
+
 TEST(SimulatorTest, UnannotatedPlanRejected) {
   Environment env = MakeEnvironment();
   ExecutionSimulator sim(&env.federation, &env.catalog, Deterministic());

@@ -1,5 +1,7 @@
 #include "ires/modelling.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -185,6 +187,28 @@ TEST(ModellingTest, PredictBatchErrorPaths) {
                    .PredictBatch("q", Matrix({{1.0, 2.0}}),
                                  EstimatorConfig::Bml(WindowPolicy::kLastN))
                    .ok());
+}
+
+TEST(ModellingTest, RecordRejectsNonFiniteObservations) {
+  Modelling modelling({"x"}, {"time", "money"});
+  FillLinear(&modelling, "q", 10);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<Vector, Vector>> bad = {
+      {{4.0}, {nan, 0.1}},
+      {{4.0}, {13.0, inf}},
+      {{4.0}, {-inf, 0.1}},
+      {{nan}, {13.0, 0.1}},
+  };
+  for (const auto& [features, costs] : bad) {
+    Observation obs;
+    obs.timestamp = 100;
+    obs.features = features;
+    obs.costs = costs;
+    EXPECT_EQ(modelling.Record("q", std::move(obs)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(modelling.history().SizeOf("q"), 10u);
+  }
 }
 
 TEST(ModellingTest, HistoryAccessorExposesScopes) {

@@ -45,6 +45,8 @@ TEST(SyntheticR2SweepTest, CleanDataSaturates) {
 
 TEST(SyntheticR2SweepTest, RejectsTinyMmax) {
   EXPECT_FALSE(SyntheticR2Sweep(3, 1.0, 1).ok());
+  EXPECT_EQ(SyntheticR2Sweep(10, -1.0, 1).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(MreExperimentTest, DefaultsFillPaperColumns) {

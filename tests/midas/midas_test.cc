@@ -49,10 +49,10 @@ TEST(MidasSystemTest, RunQueryWithoutHistoryFails) {
 }
 
 TEST(MidasSystemTest, NonFinitePredictedCostFailsClosed) {
-  // One NaN measurement recorded into a bootstrapped scope poisons the
-  // DREAM fit. Clamped to 0.0, the NaN prediction would make a plan look
-  // free and RunQuery return OK with a one-point front; it must fail
-  // instead and record nothing.
+  // One finite but extreme measurement recorded into a bootstrapped scope
+  // overflows the DREAM fit to a non-finite prediction. Clamped to 0.0,
+  // that prediction would make a plan look free and RunQuery return OK
+  // with a one-point front; it must fail instead and record nothing.
   MidasSystem system = MakeSystem();
   QueryPlan query = MakeExample21Query().ValueOrDie();
   ASSERT_TRUE(system.Bootstrap("scope", query, 16).ok());
@@ -60,7 +60,7 @@ TEST(MidasSystemTest, NonFinitePredictedCostFailsClosed) {
       system.modelling().history().Get("scope").ValueOrDie();
   Observation poisoned = set->at(set->size() - 1);
   poisoned.timestamp += 1;
-  poisoned.costs[0] = std::numeric_limits<double>::quiet_NaN();
+  poisoned.costs[0] = std::numeric_limits<double>::max();
   ASSERT_TRUE(system.modelling().Record("scope", poisoned).ok());
   const size_t recorded = system.modelling().history().SizeOf("scope");
 
