@@ -1,8 +1,12 @@
-// Machine-readable snapshot-read-path benchmark: measures prediction
+// Machine-readable snapshot benchmark. The read path: prediction
 // throughput when readers pin immutable EstimatorSnapshots while a live
 // writer keeps publishing feedback epochs, at 1/4/16 reader threads,
 // against the serial live-path baseline (no writer, mutable history).
-// Emits BENCH_snapshot.json; run via scripts/bench_snapshot.sh.
+// The write path: p50/p99 of a one-observation RecordBatch against a
+// publisher holding 16/512/4,096 scopes, alone and beside 3 threads that
+// keep pinning snapshots — publication should cost the same at every
+// scope count. Emits BENCH_snapshot.json; run via
+// scripts/bench_snapshot.sh.
 //
 // Readers re-pin every kPinEvery predictions — the per-optimization
 // pinning pattern RunQuery uses — so the numbers include the Acquire cost
@@ -20,6 +24,7 @@
 #include "bench_env_common.h"
 
 #include "common/random.h"
+#include "common/statistics.h"
 #include "ires/modelling.h"
 
 namespace midas {
@@ -135,6 +140,62 @@ ReaderRunResult ConcurrentReaders(int n_readers) {
   return result;
 }
 
+struct PublishCost {
+  double p50_us = 0.0;
+  double p99_us = 0.0;
+};
+
+constexpr size_t kPublishSamples = 2000;
+
+/// Times kPublishSamples one-observation RecordBatch calls, each to the
+/// next scope of a fixed stride over `scopes` seeded scopes, while
+/// `pinners` threads repeatedly pin a snapshot, hold it ~50 µs and
+/// release it, as QueryService slots pin one per query.
+PublishCost MeasurePublish(size_t scopes, int pinners) {
+  SnapshotPublisher publisher({"x1", "x2", "x3", "x4"},
+                              {"seconds", "dollars"});
+  Rng rng(4);
+  auto observation = [&rng](int64_t t) {
+    Observation obs;
+    obs.timestamp = t;
+    obs.features = {rng.Uniform(0, 100), rng.Uniform(0, 100), 4.0, 4.0};
+    obs.costs = {10.0 + rng.Gaussian(0, 1), 2.0};
+    return obs;
+  };
+  std::vector<SnapshotPublisher::ScopedObservation> seed;
+  for (size_t s = 0; s < scopes; ++s) {
+    seed.push_back({"tenant-" + std::to_string(s), observation(0)});
+  }
+  publisher.RecordBatch(std::move(seed)).CheckOK();
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < pinners; ++p) {
+    threads.emplace_back([&publisher, &stop] {
+      while (!stop.load(std::memory_order_acquire)) {
+        auto pinned = publisher.Acquire();
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    });
+  }
+  LatencyRecorder latency;
+  for (size_t i = 0; i < kPublishSamples; ++i) {
+    std::vector<SnapshotPublisher::ScopedObservation> batch;
+    batch.push_back({"tenant-" + std::to_string(i * 7919 % scopes),
+                     observation(static_cast<int64_t>(i) + 1)});
+    const auto start = std::chrono::steady_clock::now();
+    publisher.RecordBatch(std::move(batch)).CheckOK();
+    latency.Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+  return {latency.ValueAtQuantile(0.5).ValueOrDie() / 1e3,
+          latency.ValueAtQuantile(0.99).ValueOrDie() / 1e3};
+}
+
 int Run(const char* out_path) {
   std::FILE* out = stdout;
   if (out_path != nullptr) {
@@ -186,6 +247,32 @@ int Run(const char* out_path) {
                  readers, r.predictions_per_sec,
                  r.predictions_per_sec / baseline,
                  static_cast<unsigned long long>(r.epochs_advanced));
+  }
+  json += "  ],\n";
+
+  const std::vector<size_t> scope_counts = {16, 512, 4096};
+  const std::vector<int> pinner_counts = {0, 3};
+  json += "  \"publish_sweep\": [\n";
+  for (size_t i = 0; i < scope_counts.size(); ++i) {
+    for (size_t j = 0; j < pinner_counts.size(); ++j) {
+      const PublishCost cost =
+          MeasurePublish(scope_counts[i], pinner_counts[j]);
+      const bool last =
+          i + 1 == scope_counts.size() && j + 1 == pinner_counts.size();
+      char row[256];
+      std::snprintf(row, sizeof(row),
+                    "    {\"scopes\": %zu, \"pinned_readers\": %d, "
+                    "\"record_batch_p50_us\": %.2f, "
+                    "\"record_batch_p99_us\": %.2f}%s\n",
+                    scope_counts[i], pinner_counts[j], cost.p50_us,
+                    cost.p99_us, last ? "" : ",");
+      json += row;
+      std::fprintf(stderr,
+                   "publish, %4zu scopes, %d pinned readers: p50 %8.2f us, "
+                   "p99 %8.2f us\n",
+                   scope_counts[i], pinner_counts[j], cost.p50_us,
+                   cost.p99_us);
+    }
   }
   json += "  ]\n}\n";
 

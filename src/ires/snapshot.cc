@@ -1,5 +1,6 @@
 #include "ires/snapshot.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <utility>
@@ -23,13 +24,30 @@ std::string DreamOptionsKey(const DreamOptions& options) {
 
 }  // namespace
 
+size_t EstimatorSnapshot::BucketOf(const std::string& scope) {
+  return std::hash<std::string>{}(scope) % kBuckets;
+}
+
+const EstimatorSnapshot::ScopeState* EstimatorSnapshot::Lookup(
+    const std::string& scope) const {
+  const Bucket* bucket = buckets_[BucketOf(scope)].get();
+  if (bucket == nullptr) return nullptr;
+  auto it = std::lower_bound(
+      bucket->begin(), bucket->end(), scope,
+      [](const Bucket::value_type& entry, const std::string& name) {
+        return entry.first < name;
+      });
+  if (it == bucket->end() || it->first != scope) return nullptr;
+  return it->second.get();
+}
+
 StatusOr<const EstimatorSnapshot::ScopeState*> EstimatorSnapshot::Find(
     const std::string& scope) const {
-  auto it = scopes_.find(scope);
-  if (it == scopes_.end()) {
+  const ScopeState* state = Lookup(scope);
+  if (state == nullptr) {
     return Status::NotFound("no history for scope: " + scope);
   }
-  return it->second.get();
+  return state;
 }
 
 StatusOr<const TrainingSet*> EstimatorSnapshot::Window(
@@ -39,15 +57,55 @@ StatusOr<const TrainingSet*> EstimatorSnapshot::Window(
 }
 
 size_t EstimatorSnapshot::SizeOf(const std::string& scope) const {
-  auto it = scopes_.find(scope);
-  return it == scopes_.end() ? 0 : it->second->frozen.size();
+  const ScopeState* state = Lookup(scope);
+  return state == nullptr ? 0 : state->frozen.size();
 }
 
 std::vector<std::string> EstimatorSnapshot::Scopes() const {
   std::vector<std::string> out;
-  out.reserve(scopes_.size());
-  for (const auto& [name, unused] : scopes_) out.push_back(name);
+  for (const std::shared_ptr<const Bucket>& bucket : buckets_) {
+    if (bucket == nullptr) continue;
+    for (const auto& [name, unused] : *bucket) out.push_back(name);
+  }
+  std::sort(out.begin(), out.end());
   return out;
+}
+
+void EstimatorSnapshot::RebuildBuckets(const History& live,
+                                       std::vector<std::string> scopes) {
+  // Group the scopes by bucket, each group sorted by name, so every
+  // touched bucket is rebuilt by one linear merge.
+  std::vector<std::pair<size_t, std::string>> keyed;
+  keyed.reserve(scopes.size());
+  for (std::string& scope : scopes) {
+    const size_t bucket = BucketOf(scope);
+    keyed.emplace_back(bucket, std::move(scope));
+  }
+  std::sort(keyed.begin(), keyed.end());
+  keyed.erase(std::unique(keyed.begin(), keyed.end()), keyed.end());
+  static const Bucket kEmpty;
+  for (size_t begin = 0, end = 0; begin < keyed.size(); begin = end) {
+    const size_t index = keyed[begin].first;
+    while (end < keyed.size() && keyed[end].first == index) ++end;
+    const Bucket& old = buckets_[index] ? *buckets_[index] : kEmpty;
+    auto rebuilt = std::make_shared<Bucket>();
+    rebuilt->reserve(old.size() + (end - begin));
+    auto kept = old.begin();
+    for (size_t i = begin; i < end; ++i) {
+      const std::string& scope = keyed[i].second;
+      auto live_set = live.Get(scope);
+      if (!live_set.ok()) continue;  // validation failure created no set
+      for (; kept != old.end() && kept->first < scope; ++kept) {
+        rebuilt->push_back(*kept);
+      }
+      if (kept != old.end() && kept->first == scope) ++kept;  // superseded
+      // O(1) frozen copy: shares the observation buffer.
+      rebuilt->emplace_back(scope,
+                            std::make_shared<const ScopeState>(**live_set));
+    }
+    rebuilt->insert(rebuilt->end(), kept, old.end());
+    buckets_[index] = std::move(rebuilt);
+  }
 }
 
 StatusOr<std::shared_ptr<const DreamEstimate>> EstimatorSnapshot::DreamFit(
@@ -97,16 +155,13 @@ std::shared_ptr<const EstimatorSnapshot> SnapshotPublisher::Acquire() const {
   // only publisher-internal state (conceptually a cache refresh).
   auto* self = const_cast<SnapshotPublisher*>(this);
   std::shared_ptr<const EstimatorSnapshot> snapshot;
-  bool republished = false;
+  std::shared_ptr<const EstimatorSnapshot> superseded;  // dropped unlocked
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (dirty_) {
-      self->RepublishAllLocked();
-      republished = true;
-    }
+    if (dirty_) superseded = self->RepublishAllLocked();
     snapshot = published_;
   }
-  if (republished) NotifyPublished(snapshot->epoch());
+  if (superseded != nullptr) NotifyPublished(snapshot->epoch());
   return snapshot;
 }
 
@@ -126,7 +181,9 @@ Status SnapshotPublisher::RecordBatch(std::vector<ScopedObservation> batch,
                                       uint64_t* published_epoch) {
   Status first_error = Status::OK();
   uint64_t epoch = 0;
-  bool published = false;
+  // Dropped after the unlock: when no reader pins it, its teardown must
+  // not hold up a concurrent Acquire.
+  std::shared_ptr<const EstimatorSnapshot> superseded;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::string> touched;
@@ -142,13 +199,12 @@ Status SnapshotPublisher::RecordBatch(std::vector<ScopedObservation> batch,
       }
     }
     if (!touched.empty() || dirty_) {
-      PublishLocked(touched);
-      published = true;
+      superseded = PublishLocked(std::move(touched));
     }
     epoch = published_->epoch();
   }
   if (published_epoch != nullptr) *published_epoch = epoch;
-  if (published) NotifyPublished(epoch);
+  if (superseded != nullptr) NotifyPublished(epoch);
   return first_error;
 }
 
@@ -168,42 +224,27 @@ void SnapshotPublisher::NotifyPublished(uint64_t epoch) const {
   for (const PublishListener& listener : listeners) listener(epoch);
 }
 
-void SnapshotPublisher::PublishLocked(
-    const std::vector<std::string>& touched) {
-  if (dirty_) {
-    RepublishAllLocked();
-    return;
-  }
-  auto successor = std::make_shared<EstimatorSnapshot>();
-  successor->epoch_ = published_->epoch_ + 1;
-  successor->feature_names_ = feature_names_;
-  successor->metric_names_ = metric_names_;
-  // Structural sharing: untouched scopes keep their predecessor state —
-  // frozen window AND fit memos — so only the delta is replayed.
-  successor->scopes_ = published_->scopes_;
-  for (const std::string& scope : touched) {
-    auto live_set = live_.Get(scope);
-    if (!live_set.ok()) continue;  // validation failure created no set
-    successor->scopes_[scope] =
-        std::make_shared<const EstimatorSnapshot::ScopeState>(
-            **live_set);  // O(1) frozen copy: shares the observation buffer
-  }
-  published_ = std::move(successor);
+std::shared_ptr<const EstimatorSnapshot> SnapshotPublisher::PublishLocked(
+    std::vector<std::string> touched) {
+  if (dirty_) return RepublishAllLocked();
+  // Structural sharing: the successor starts from the predecessor's bucket
+  // pointers, so untouched scopes keep their state — frozen window AND fit
+  // memos — and only the touched buckets are rebuilt.
+  auto successor = std::make_shared<EstimatorSnapshot>(*published_);
+  ++successor->epoch_;
+  successor->RebuildBuckets(live_, std::move(touched));
+  return std::exchange(published_, std::move(successor));
 }
 
-void SnapshotPublisher::RepublishAllLocked() {
+std::shared_ptr<const EstimatorSnapshot>
+SnapshotPublisher::RepublishAllLocked() {
   auto successor = std::make_shared<EstimatorSnapshot>();
   successor->epoch_ = published_->epoch_ + 1;
   successor->feature_names_ = feature_names_;
   successor->metric_names_ = metric_names_;
-  for (const std::string& scope : live_.Scopes()) {
-    auto live_set = live_.Get(scope);
-    if (!live_set.ok()) continue;
-    successor->scopes_[scope] =
-        std::make_shared<const EstimatorSnapshot::ScopeState>(**live_set);
-  }
-  published_ = std::move(successor);
+  successor->RebuildBuckets(live_, live_.Scopes());
   dirty_ = false;
+  return std::exchange(published_, std::move(successor));
 }
 
 History& SnapshotPublisher::MutableHistory() {

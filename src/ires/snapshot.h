@@ -1,12 +1,14 @@
 #ifndef MIDAS_IRES_SNAPSHOT_H_
 #define MIDAS_IRES_SNAPSHOT_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ires/history.h"
@@ -41,9 +43,18 @@ struct BmlScopeFit {
 /// Record batch did not touch the scope — the snapshot-to-snapshot
 /// carry-over that replaces IncrementalOls' within-call carry-over: a
 /// DREAM fit computed against epoch N keeps serving epoch N+1 readers
-/// unless the delta replay rebuilt that scope's window.
+/// unless the delta replay rebuilt that scope's window. The states live
+/// in a fixed table of immutable hash buckets, and a successor rebuilds
+/// only the buckets its batch touched, so publishing costs O(touched
+/// scopes) rather than O(scopes).
 class EstimatorSnapshot {
  public:
+  /// The scope table's layout: a scope's state lives in bucket
+  /// BucketOf(scope) of kBuckets (a hash of the name). Public so tests can
+  /// check bucket coverage and sharing.
+  static constexpr size_t kBuckets = 64;
+  static size_t BucketOf(const std::string& scope);
+
   /// Monotone publication counter; epoch 0 is the empty initial snapshot.
   uint64_t epoch() const { return epoch_; }
 
@@ -63,6 +74,7 @@ class EstimatorSnapshot {
   /// Number of observations frozen for a scope (0 when absent).
   size_t SizeOf(const std::string& scope) const;
 
+  /// Every scope of the snapshot, sorted (built on demand).
   std::vector<std::string> Scopes() const;
 
   /// The DREAM estimate (Algorithm 1) for a scope's frozen window under
@@ -96,12 +108,24 @@ class EstimatorSnapshot {
         bml_fits;
   };
 
+  /// A bucket is sorted by scope name and never mutated once published.
+  using Bucket =
+      std::vector<std::pair<std::string, std::shared_ptr<const ScopeState>>>;
+
+  /// The scope's state, or nullptr when absent.
+  const ScopeState* Lookup(const std::string& scope) const;
   StatusOr<const ScopeState*> Find(const std::string& scope) const;
+
+  /// Replaces the buckets `scopes` hash to with copies that take a fresh
+  /// frozen window of each listed scope from `live`; every other member of
+  /// a rebuilt bucket, and every other bucket, is shared as it is. Scopes
+  /// absent from `live` keep their current state.
+  void RebuildBuckets(const History& live, std::vector<std::string> scopes);
 
   uint64_t epoch_ = 0;
   std::shared_ptr<const std::vector<std::string>> feature_names_;
   std::shared_ptr<const std::vector<std::string>> metric_names_;
-  std::map<std::string, std::shared_ptr<const ScopeState>> scopes_;
+  std::array<std::shared_ptr<const Bucket>, kBuckets> buckets_;
 };
 
 /// \brief Single-writer, many-reader publication point of the estimator
@@ -111,8 +135,10 @@ class EstimatorSnapshot {
 /// Writers apply Record batches to the private writer-side History and
 /// publish an immutable successor snapshot with an atomically bumped
 /// epoch: the successor shares every untouched scope's state (including
-/// its fit memos) with the predecessor and rebuilds only the scopes the
-/// batch touched by replaying the delta onto a fresh frozen copy. Readers
+/// its fit memos) with the predecessor and rebuilds only the buckets the
+/// batch touched, replaying the delta onto a fresh frozen copy of each
+/// touched scope. The superseded snapshot is released after the publisher
+/// mutex, so its teardown never blocks a concurrent Acquire. Readers
 /// call Acquire() to pin the current snapshot; pinned snapshots stay valid
 /// and self-consistent for as long as the reader holds the shared_ptr,
 /// regardless of later publications.
@@ -176,12 +202,15 @@ class SnapshotPublisher {
 
  private:
   /// Rebuilds `touched` scopes from live_ into a successor snapshot and
-  /// publishes it. Caller holds mutex_.
-  void PublishLocked(const std::vector<std::string>& touched);
+  /// publishes it. Returns the superseded snapshot so the caller can drop
+  /// it after releasing mutex_. Caller holds mutex_.
+  std::shared_ptr<const EstimatorSnapshot> PublishLocked(
+      std::vector<std::string> touched);
 
-  /// Republishes every scope from live_ (dirty MutableHistory path).
-  /// Caller holds mutex_.
-  void RepublishAllLocked();
+  /// Republishes every scope from live_ into an empty table (dirty
+  /// MutableHistory path). Returns the superseded snapshot like
+  /// PublishLocked. Caller holds mutex_.
+  std::shared_ptr<const EstimatorSnapshot> RepublishAllLocked();
 
   /// Runs every registered listener with `epoch`. Caller must NOT hold
   /// mutex_ (listeners may Acquire).

@@ -1,5 +1,6 @@
 #include "midas/midas.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "ires/features.h"
@@ -37,12 +38,27 @@ Status MidasSystem::Bootstrap(const std::string& scope,
                               const QueryPlan& logical, size_t runs) {
   PlanEnumerator enumerator(&federation_, &catalog_,
                             options_.moqp.enumerator);
-  MIDAS_ASSIGN_OR_RETURN(std::vector<QueryPlan> plans,
-                         enumerator.EnumeratePhysical(logical));
-  for (size_t i = 0; i < runs; ++i) {
-    const QueryPlan& pick = plans[rng_.Index(plans.size())];
-    MIDAS_RETURN_IF_ERROR(
-        scheduler_->ExecuteAndRecord(scope, pick).status());
+  // Draw the picks as sequence numbers over the whole plan space and build
+  // only those plans: the same draws and plans as picking from the
+  // EnumeratePhysical list, without enumerating it. Plans are built and
+  // run a chunk at a time, so a long bootstrap holds at most kChunk plans
+  // at once.
+  MIDAS_ASSIGN_OR_RETURN(std::vector<EnumerationShard> space,
+                         enumerator.PartitionShards(logical, 1));
+  const uint64_t count = space.front().planned_emissions;
+  std::vector<uint64_t> picks(runs);
+  for (uint64_t& pick : picks) pick = rng_.Index(count);
+  constexpr size_t kChunk = 64;
+  for (size_t begin = 0; begin < picks.size(); begin += kChunk) {
+    const std::vector<uint64_t> chunk(
+        picks.begin() + begin,
+        picks.begin() + std::min(picks.size(), begin + kChunk));
+    MIDAS_ASSIGN_OR_RETURN(std::vector<QueryPlan> plans,
+                           enumerator.Materialize(logical, chunk));
+    for (const QueryPlan& plan : plans) {
+      MIDAS_RETURN_IF_ERROR(
+          scheduler_->ExecuteAndRecord(scope, plan).status());
+    }
   }
   return Status::OK();
 }

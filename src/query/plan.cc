@@ -1,7 +1,10 @@
 #include "query/plan.h"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <sstream>
+#include <utility>
 
 namespace midas {
 
@@ -25,61 +28,162 @@ std::string OperatorKindName(OperatorKind kind) {
 
 namespace {
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#if defined(__SANITIZE_ADDRESS__)
 #define MIDAS_PLAN_NODE_POOL_DISABLED 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#if __has_feature(address_sanitizer)
 #define MIDAS_PLAN_NODE_POOL_DISABLED 1
 #endif
 #endif
 
 #ifndef MIDAS_PLAN_NODE_POOL_DISABLED
 
-// Slab pool behind PlanNode::operator new/delete. Each thread owns a free
-// list of fixed-size slots; an empty list is refilled by carving a fresh
-// slab from the global heap (one ::operator new per kSlabNodes nodes).
-// Slots freed on a thread re-enter only that thread's list, so the hot
-// path is entirely lock- and atomic-free; cross-thread handoff of the
-// node itself is the caller's synchronisation, as with any allocator.
-// Slabs are intentionally retained for the process lifetime: static
-// destructors may still free PlanNodes, and the per-node amortised cost
-// is what matters, not slab reclamation.
+// Slab pool behind PlanNode::operator new/delete. Each thread caches free
+// slots in two lists of at most kBatchSlots: `current`, which allocation
+// pops and freeing pushes, and `spare`, either empty or one whole batch.
+// That hot path takes no lock and no atomic. Batches move between threads
+// through a mutex-guarded depot: a thread whose cache would exceed two
+// batches hands its spare batch to the depot, and a thread whose cache is
+// empty takes a batch from the depot before it carves a new slab from the
+// heap. So nodes freed on another thread than the one that allocated them
+// (a client destroying a served plan) are reused, and the slabs carved
+// stay bounded by the peak number of live nodes plus two batches per
+// thread. Cross-thread handoff of a node itself is the caller's
+// synchronisation, as with any allocator. Slabs are intentionally
+// retained for the process lifetime: static destructors may still free
+// PlanNodes.
 struct FreeSlot {
-  FreeSlot* next;
+  FreeSlot* next;        // next free slot of the same list
+  FreeSlot* next_batch;  // depot only, in a batch's first slot
+  size_t batch_slots;    // depot only, in a batch's first slot
 };
 
-constexpr size_t kSlabNodes = 256;
+constexpr size_t kBatchSlots = 256;
 constexpr size_t kSlotSize =
     sizeof(PlanNode) > sizeof(FreeSlot) ? sizeof(PlanNode) : sizeof(FreeSlot);
 
-thread_local FreeSlot* t_free_list = nullptr;
+struct SlotList {
+  FreeSlot* head = nullptr;
+  size_t size = 0;
+};
+
+struct Depot {
+  std::mutex mutex;
+  FreeSlot* batches = nullptr;  // stack of lists, linked by next_batch
+};
+
+// Never destroyed: frees during static destruction still reach it.
+Depot& GetDepot() {
+  static Depot* depot = new Depot();
+  return *depot;
+}
+
+std::atomic<uint64_t> g_slabs_carved{0};
+
+void DepotPush(const SlotList& list) {
+  if (list.head == nullptr) return;
+  Depot& depot = GetDepot();
+  std::lock_guard<std::mutex> lock(depot.mutex);
+  list.head->batch_slots = list.size;
+  list.head->next_batch = depot.batches;
+  depot.batches = list.head;
+}
+
+SlotList DepotPop() {
+  Depot& depot = GetDepot();
+  std::lock_guard<std::mutex> lock(depot.mutex);
+  FreeSlot* head = depot.batches;
+  if (head == nullptr) return {};
+  depot.batches = head->next_batch;
+  return {head, head->batch_slots};
+}
+
+SlotList CarveSlab() {
+  g_slabs_carved.fetch_add(1, std::memory_order_relaxed);
+  // sizeof(PlanNode) is a multiple of its alignment and ::operator new
+  // returns max_align_t-aligned storage, so consecutive slots are
+  // correctly aligned for PlanNode.
+  char* slab = static_cast<char*>(::operator new(kBatchSlots * kSlotSize));
+  SlotList list;
+  for (size_t i = kBatchSlots; i > 0; --i) {
+    auto* slot = reinterpret_cast<FreeSlot*>(slab + (i - 1) * kSlotSize);
+    slot->next = list.head;
+    list.head = slot;
+  }
+  list.size = kBatchSlots;
+  return list;
+}
+
+// Trivially destructible, so the hot path needs no TLS init guard.
+struct ThreadCache {
+  SlotList current;
+  SlotList spare;
+  bool flushes_at_exit = false;  // t_flusher constructed
+};
+thread_local ThreadCache t_cache;
+
+// Returns the thread's cached slots to the depot when the thread exits.
+// Constructed by the thread's first refill, the only code that names it.
+struct ThreadCacheFlusher {
+  ThreadCacheFlusher() { t_cache.flushes_at_exit = true; }
+  ThreadCacheFlusher(const ThreadCacheFlusher&) = delete;
+  ThreadCacheFlusher& operator=(const ThreadCacheFlusher&) = delete;
+  ~ThreadCacheFlusher() {
+    DepotPush(t_cache.current);
+    DepotPush(t_cache.spare);
+    t_cache.current = SlotList();
+    t_cache.spare = SlotList();
+  }
+};
+thread_local ThreadCacheFlusher t_flusher;
+
+void Refill(ThreadCache& cache) {
+  if (!cache.flushes_at_exit) static_cast<void>(&t_flusher);
+  if (cache.spare.head != nullptr) {
+    std::swap(cache.current, cache.spare);
+    return;
+  }
+  cache.current = DepotPop();
+  if (cache.current.head == nullptr) cache.current = CarveSlab();
+}
 
 void* PoolAllocate() {
-  if (t_free_list == nullptr) {
-    // sizeof(PlanNode) is a multiple of its alignment and ::operator new
-    // returns max_align_t-aligned storage, so consecutive slots are
-    // correctly aligned for PlanNode.
-    char* slab = static_cast<char*>(::operator new(kSlabNodes * kSlotSize));
-    for (size_t i = kSlabNodes; i > 0; --i) {
-      auto* slot = reinterpret_cast<FreeSlot*>(slab + (i - 1) * kSlotSize);
-      slot->next = t_free_list;
-      t_free_list = slot;
-    }
-  }
-  FreeSlot* slot = t_free_list;
-  t_free_list = slot->next;
+  ThreadCache& cache = t_cache;
+  if (cache.current.head == nullptr) Refill(cache);
+  FreeSlot* slot = cache.current.head;
+  cache.current.head = slot->next;
+  --cache.current.size;
   return slot;
 }
 
 void PoolFree(void* ptr) {
+  ThreadCache& cache = t_cache;
+  if (cache.current.size == kBatchSlots) {
+    DepotPush(cache.spare);
+    cache.spare = cache.current;
+    cache.current = SlotList();
+  }
   auto* slot = static_cast<FreeSlot*>(ptr);
-  slot->next = t_free_list;
-  t_free_list = slot;
+  slot->next = cache.current.head;
+  cache.current.head = slot;
+  ++cache.current.size;
 }
 
 #endif  // MIDAS_PLAN_NODE_POOL_DISABLED
 
 }  // namespace
+
+namespace internal {
+
+std::optional<uint64_t> PlanNodeSlabsCarved() {
+#ifndef MIDAS_PLAN_NODE_POOL_DISABLED
+  return g_slabs_carved.load(std::memory_order_relaxed);
+#else
+  return std::nullopt;
+#endif
+}
+
+}  // namespace internal
 
 void* PlanNode::operator new(size_t size) {
 #ifndef MIDAS_PLAN_NODE_POOL_DISABLED

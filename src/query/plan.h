@@ -1,6 +1,7 @@
 #ifndef MIDAS_QUERY_PLAN_H_
 #define MIDAS_QUERY_PLAN_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -58,9 +59,10 @@ struct PlanNode {
   /// Pooled allocation: enumeration materialises and frees millions of
   /// node trees, so PlanNodes draw from slab-backed thread-local free
   /// lists instead of the global heap — no allocator lock on the shard
-  /// hot path. A freed slot is recycled only by the thread that freed it;
-  /// slabs live for the process lifetime. Disabled under asan/tsan so the
-  /// sanitizers keep full heap instrumentation on nodes.
+  /// hot path. Whole batches of free slots move between threads through a
+  /// locked depot, so nodes freed on another thread are reused; slabs
+  /// live for the process lifetime. Disabled under asan so it keeps full
+  /// heap instrumentation on nodes.
   static void* operator new(size_t size);
   static void operator delete(void* ptr, size_t size) noexcept;
 
@@ -71,6 +73,12 @@ struct PlanNode {
   /// they would immediately discard.
   std::unique_ptr<PlanNode> CloneShallow() const;
 };
+
+namespace internal {
+/// Slabs the PlanNode pool has carved from the heap so far; nullopt when
+/// the pool is compiled out. A test hook for the pool's reuse bound.
+std::optional<uint64_t> PlanNodeSlabsCarved();
+}  // namespace internal
 
 /// \brief A Query Execution Plan p ∈ P: an operator tree over base tables.
 class QueryPlan {

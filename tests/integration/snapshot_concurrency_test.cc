@@ -4,6 +4,7 @@
 // run under tsan by scripts/check.sh; iteration counts are deliberately
 // small so the sanitizer suite stays fast.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -154,6 +155,89 @@ TEST(SnapshotBatchAtomicityTest, RecordBatchIsAtomicToReaders) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(modelling.publisher().epoch(), static_cast<uint64_t>(kBatches));
   EXPECT_EQ(modelling.publisher().history().SizeOf("q"), kBatches * kBatchSize);
+}
+
+TEST(SnapshotManyScopesTest, BucketRebuildsRacePinnedReaders) {
+  // Writers spread over enough scopes that their publications rebuild
+  // buckets all over the scope table while readers hold pinned snapshots.
+  // Scope s only ever records cost = (s + 1) * x.
+  constexpr int kScopes = 200;
+  constexpr int kWriters = 2;
+  constexpr int kRecordsPerWriter = 300;
+  constexpr int kReaders = 4;
+  Modelling modelling({"x"}, {"seconds"});
+  auto scope_name = [](int s) { return "tenant-" + std::to_string(s); };
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  auto fail = [&failures] {
+    failures.fetch_add(1, std::memory_order_relaxed);
+  };
+
+  auto writer = [&](int w) {
+    for (int i = 0; i < kRecordsPerWriter; ++i) {
+      const int s = (w + kWriters * i * 7) % kScopes;
+      const double x = 1.0 + i % 11;
+      Observation obs;
+      obs.timestamp = i;
+      obs.features = {x};
+      obs.costs = {(s + 1) * x};
+      if (!modelling.Record(scope_name(s), std::move(obs)).ok()) fail();
+    }
+  };
+
+  auto reader = [&](int r) {
+    uint64_t last_epoch = 0;
+    int probe = r;
+    while (!done.load(std::memory_order_acquire)) {
+      std::shared_ptr<const EstimatorSnapshot> snap = modelling.Snapshot();
+      if (snap->epoch() < last_epoch) fail();
+      last_epoch = snap->epoch();
+      const std::vector<std::string> scopes = snap->Scopes();
+      if (!std::is_sorted(scopes.begin(), scopes.end()) ||
+          scopes.size() > static_cast<size_t>(kScopes)) {
+        fail();
+      }
+      size_t total = 0;
+      for (const std::string& scope : scopes) {
+        if (snap->SizeOf(scope) == 0) fail();
+        total += snap->SizeOf(scope);
+      }
+      // One observation per publication: a pinned snapshot holds exactly
+      // as many observations as its epoch.
+      if (total != snap->epoch()) fail();
+      for (int k = 0; k < 8; ++k, probe = (probe + 13) % kScopes) {
+        auto window = snap->Window(scope_name(probe));
+        if (!window.ok()) continue;  // scope not yet published
+        const TrainingSet& frozen = **window;
+        if (frozen.size() != snap->SizeOf(scope_name(probe))) fail();
+        for (size_t i = 0; i < frozen.size(); ++i) {
+          if (frozen.at(i).costs[0] != (probe + 1) * frozen.at(i).features[0]) {
+            fail();
+            break;
+          }
+        }
+      }
+    }
+  };
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) readers.emplace_back(reader, r);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) writers.emplace_back(writer, w);
+  for (std::thread& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  auto final_snapshot = modelling.Snapshot();
+  EXPECT_EQ(final_snapshot->epoch(),
+            static_cast<uint64_t>(kWriters * kRecordsPerWriter));
+  EXPECT_EQ(final_snapshot->Scopes(), modelling.publisher().history().Scopes());
+  for (const std::string& scope : final_snapshot->Scopes()) {
+    EXPECT_EQ(final_snapshot->SizeOf(scope),
+              modelling.publisher().history().SizeOf(scope));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "ires/snapshot.h"
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,24 @@ Observation Obs(double x, double cost) {
 
 SnapshotPublisher MakePublisher() {
   return SnapshotPublisher({"x"}, {"seconds"});
+}
+
+// Enough scopes that every bucket of the scope table holds several.
+constexpr int kManyScopes = 320;
+
+std::string ScopeName(int i) { return "tenant-" + std::to_string(i); }
+
+// Publishes kManyScopes scopes, then a second observation for every third
+// one, so windows differ in size.
+void RecordManyScopes(SnapshotPublisher* publisher) {
+  std::vector<SnapshotPublisher::ScopedObservation> batch;
+  for (int i = 0; i < kManyScopes; ++i) {
+    batch.push_back({ScopeName(i), Obs(1.0 * i, 2.0 * i)});
+  }
+  ASSERT_TRUE(publisher->RecordBatch(std::move(batch)).ok());
+  for (int i = 0; i < kManyScopes; i += 3) {
+    ASSERT_TRUE(publisher->Record(ScopeName(i), Obs(i + 0.5, 1.0)).ok());
+  }
 }
 
 TEST(SnapshotPublisherTest, InitialSnapshotIsEmptyEpochZero) {
@@ -173,6 +193,107 @@ TEST(SnapshotPublisherTest, MutableHistoryTriggersFullRepublish) {
       snapshot->Window("q1").ValueOrDie()->at(0).features[0], 2.0);
   // Re-acquiring without new writes does not mint new epochs.
   EXPECT_EQ(publisher.Acquire()->epoch(), snapshot->epoch());
+}
+
+TEST(EstimatorSnapshotBucketTest, ManyScopesCoverEveryBucket) {
+  std::set<size_t> buckets;
+  for (int i = 0; i < kManyScopes; ++i) {
+    const size_t bucket = EstimatorSnapshot::BucketOf(ScopeName(i));
+    ASSERT_LT(bucket, EstimatorSnapshot::kBuckets);
+    buckets.insert(bucket);
+  }
+  EXPECT_EQ(buckets.size(), EstimatorSnapshot::kBuckets);
+}
+
+TEST(EstimatorSnapshotBucketTest, RecordRebuildsOnlyTheTouchedScope) {
+  SnapshotPublisher publisher = MakePublisher();
+  RecordManyScopes(&publisher);
+  auto before = publisher.Acquire();
+  const std::string hot = ScopeName(17);
+  ASSERT_TRUE(publisher.Record(hot, Obs(99.0, 1.0)).ok());
+  auto after = publisher.Acquire();
+  for (int i = 0; i < kManyScopes; ++i) {
+    const std::string scope = ScopeName(i);
+    if (scope == hot) continue;
+    EXPECT_EQ(before->Window(scope).ValueOrDie(),
+              after->Window(scope).ValueOrDie())
+        << scope;
+  }
+  EXPECT_NE(before->Window(hot).ValueOrDie(), after->Window(hot).ValueOrDie());
+  EXPECT_EQ(after->SizeOf(hot), before->SizeOf(hot) + 1);
+}
+
+TEST(EstimatorSnapshotBucketTest, NewScopeLeavesItsBucketMatesShared) {
+  SnapshotPublisher publisher = MakePublisher();
+  RecordManyScopes(&publisher);
+  auto before = publisher.Acquire();
+  const std::string newcomer = "newcomer";
+  std::vector<std::string> mates;
+  for (int i = 0; i < kManyScopes; ++i) {
+    if (EstimatorSnapshot::BucketOf(ScopeName(i)) ==
+        EstimatorSnapshot::BucketOf(newcomer)) {
+      mates.push_back(ScopeName(i));
+    }
+  }
+  ASSERT_FALSE(mates.empty());
+  ASSERT_TRUE(publisher.Record(newcomer, Obs(5.0, 5.0)).ok());
+  auto after = publisher.Acquire();
+  for (const std::string& mate : mates) {
+    EXPECT_EQ(before->Window(mate).ValueOrDie(),
+              after->Window(mate).ValueOrDie())
+        << mate;
+  }
+  EXPECT_FALSE(before->Window(newcomer).ok());
+  EXPECT_EQ(after->SizeOf(newcomer), 1u);
+  EXPECT_EQ(after->Scopes().size(), before->Scopes().size() + 1);
+}
+
+TEST(EstimatorSnapshotBucketTest, ScopesIsSortedAndComplete) {
+  SnapshotPublisher publisher = MakePublisher();
+  RecordManyScopes(&publisher);
+  const std::vector<std::string> scopes = publisher.Acquire()->Scopes();
+  std::vector<std::string> want;
+  for (int i = 0; i < kManyScopes; ++i) want.push_back(ScopeName(i));
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(scopes, want);
+  EXPECT_EQ(scopes, publisher.history().Scopes());
+}
+
+TEST(EstimatorSnapshotBucketTest, SizeOfAndNotFoundAgreeWithHistory) {
+  SnapshotPublisher publisher = MakePublisher();
+  RecordManyScopes(&publisher);
+  auto snapshot = publisher.Acquire();
+  std::vector<std::string> probes = {"", "tenant-", "tenant-320", "zzz"};
+  for (int i = 0; i < kManyScopes; ++i) probes.push_back(ScopeName(i));
+  for (const std::string& scope : probes) {
+    EXPECT_EQ(snapshot->SizeOf(scope), publisher.history().SizeOf(scope))
+        << scope;
+    const Status live = publisher.history().Get(scope).status();
+    const Status frozen = snapshot->Window(scope).status();
+    EXPECT_EQ(frozen.code(), live.code()) << scope;
+    EXPECT_EQ(frozen.message(), live.message()) << scope;
+  }
+}
+
+TEST(EstimatorSnapshotBucketTest, MutableHistoryRepublishKeepsContents) {
+  SnapshotPublisher publisher = MakePublisher();
+  RecordManyScopes(&publisher);
+  auto before = publisher.Acquire();
+  publisher.MutableHistory();
+  auto after = publisher.Acquire();
+  EXPECT_EQ(after->epoch(), before->epoch() + 1);
+  ASSERT_EQ(after->Scopes(), before->Scopes());
+  for (const std::string& scope : before->Scopes()) {
+    const TrainingSet* was = before->Window(scope).ValueOrDie();
+    const TrainingSet* now = after->Window(scope).ValueOrDie();
+    EXPECT_NE(was, now) << scope;  // rebuilt from the live history
+    ASSERT_EQ(now->size(), was->size()) << scope;
+    for (size_t k = 0; k < was->size(); ++k) {
+      EXPECT_EQ(now->at(k).timestamp, was->at(k).timestamp);
+      EXPECT_EQ(now->at(k).features, was->at(k).features);
+      EXPECT_EQ(now->at(k).costs, was->at(k).costs);
+    }
+  }
 }
 
 TEST(EstimatorSnapshotTest, DreamFitIsMemoisedPerConfiguration) {

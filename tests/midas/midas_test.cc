@@ -1,10 +1,16 @@
 #include "midas/midas.h"
 
 #include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "midas/medical.h"
+#include "query/enumerator.h"
 
 namespace midas {
 namespace {
@@ -21,6 +27,73 @@ TEST(MidasSystemTest, BootstrapFillsHistory) {
   QueryPlan query = MakeExample21Query().ValueOrDie();
   ASSERT_TRUE(system.Bootstrap("scope", query, 10).ok());
   EXPECT_EQ(system.modelling().history().SizeOf("scope"), 10u);
+}
+
+// The reference Bootstrap: draws each run's plan from the whole
+// EnumeratePhysical list with `rng`.
+void EnumeratePhysicalBootstrap(MidasSystem* system, Rng* rng,
+                                const std::string& scope,
+                                const QueryPlan& logical, size_t runs) {
+  PlanEnumerator enumerator(&system->federation(), &system->catalog(),
+                            system->options().moqp.enumerator);
+  const std::vector<QueryPlan> plans =
+      enumerator.EnumeratePhysical(logical).ValueOrDie();
+  for (size_t i = 0; i < runs; ++i) {
+    ASSERT_TRUE(system->scheduler()
+                    .ExecuteAndRecord(scope, plans[rng->Index(plans.size())])
+                    .ok());
+  }
+}
+
+TEST(MidasSystemTest, BootstrapMatchesEnumeratePhysicalPicks) {
+  struct Case {
+    bool three_clouds;
+    int max_nodes;  // 0: the default VM counts {1, 2, 4, 8}
+  };
+  for (const Case& c : {Case{false, 0}, Case{true, 16}}) {
+    SCOPED_TRACE(c.three_clouds ? "ThreeCloudFederation, VM counts 1-16"
+                                : "PaperFederation");
+    MidasOptions options;
+    if (c.max_nodes > 0) {
+      options.moqp.enumerator.node_counts.clear();
+      for (int n = 1; n <= c.max_nodes; ++n) {
+        options.moqp.enumerator.node_counts.push_back(n);
+      }
+    }
+    auto make_system = [&] {
+      Federation federation = c.three_clouds
+                                  ? Federation::ThreeCloudFederation()
+                                  : Federation::PaperFederation();
+      PlaceMedicalTables(&federation).CheckOK();
+      return std::make_unique<MidasSystem>(
+          std::move(federation),
+          MakeMedicalCatalog(/*scale=*/0.05).ValueOrDie(), options);
+    };
+    std::unique_ptr<MidasSystem> system = make_system();
+    std::unique_ptr<MidasSystem> reference = make_system();
+    Rng rng(options.seed);  // the seed MidasSystem draws its picks with
+    const QueryPlan query = MakeExample21Query().ValueOrDie();
+    // "b" draws 120 runs: more than PaperFederation's 96 plans, so picks
+    // repeat, and more than one 64-plan chunk.
+    const std::vector<std::pair<std::string, size_t>> runs = {
+        {"a", 12}, {"b", 120}, {"a", 7}};
+    for (const auto& [scope, n] : runs) {
+      ASSERT_TRUE(system->Bootstrap(scope, query, n).ok());
+      EnumeratePhysicalBootstrap(reference.get(), &rng, scope, query, n);
+    }
+    for (const std::string scope : {"a", "b"}) {
+      const TrainingSet* got =
+          system->modelling().history().Get(scope).ValueOrDie();
+      const TrainingSet* want =
+          reference->modelling().history().Get(scope).ValueOrDie();
+      ASSERT_EQ(got->size(), want->size()) << scope;
+      for (size_t i = 0; i < got->size(); ++i) {
+        EXPECT_EQ(got->at(i).timestamp, want->at(i).timestamp);
+        EXPECT_EQ(got->at(i).features, want->at(i).features);
+        EXPECT_EQ(got->at(i).costs, want->at(i).costs);
+      }
+    }
+  }
 }
 
 TEST(MidasSystemTest, RunQueryEndToEnd) {

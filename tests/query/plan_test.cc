@@ -1,5 +1,9 @@
 #include "query/plan.h"
 
+#include <optional>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace midas {
@@ -219,6 +223,27 @@ TEST(OperatorKindTest, Names) {
   EXPECT_EQ(OperatorKindName(OperatorKind::kScan), "Scan");
   EXPECT_EQ(OperatorKindName(OperatorKind::kJoin), "Join");
   EXPECT_EQ(OperatorKindName(OperatorKind::kAggregate), "Aggregate");
+}
+
+TEST(PlanNodePoolTest, NodesFreedOnAnotherThreadAreReused) {
+  // The served-path pattern: a worker builds plans, a client thread
+  // destroys them. Freed slots must flow back to allocating threads
+  // instead of piling up on the freeing thread while new slabs are carved.
+  const std::optional<uint64_t> before = internal::PlanNodeSlabsCarved();
+  if (!before.has_value()) GTEST_SKIP() << "PlanNode pool compiled out";
+  constexpr size_t kRounds = 100;
+  constexpr size_t kTreesPerRound = 400;  // 1,200 nodes: 5 slabs of 256
+  for (size_t round = 0; round < kRounds; ++round) {
+    std::vector<QueryPlan> trees;
+    std::thread builder([&trees] {
+      for (size_t i = 0; i < kTreesPerRound; ++i) trees.push_back(JoinPlan());
+    });
+    builder.join();
+    trees.clear();  // every node is freed on this thread
+  }
+  // One round's nodes fit in 5 slabs, and each thread caches at most two
+  // batches; without cross-thread reuse every round carves 5 more.
+  EXPECT_LE(*internal::PlanNodeSlabsCarved() - *before, 16u);
 }
 
 }  // namespace
