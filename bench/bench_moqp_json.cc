@@ -1,24 +1,17 @@
 // Machine-readable MOQP pipeline benchmark: times the end-to-end
 // Multi-Objective Optimizer (enumerate → predict → Pareto → Algorithm 2)
-// over an Example-3.1-scale QEP space, sweeping thread counts 1/2/4/8 for
-// both costing stages —
+// over an Example-3.1-scale QEP space, sweeping shard counts 1/2/4/8 for
+// both predictor kinds —
 //
-//   scalar_tN   per-plan CostPredictor: each candidate runs DREAM's
-//               Algorithm 1 (window growth to the cap) and one Predict —
-//               the seed pipeline, parallelised over plans;
-//   batch_tN    BatchCostPredictor: candidates are gathered into SoA
-//               feature matrices (MoqpOptions::batch_size rows), each
-//               chunk runs Algorithm 1 once and scores every row through
-//               PredictBatch (the same per-row dot as Predict);
+//   per_plan_sN     CostPredictor: each chunk's plans are materialized and
+//                   every candidate runs DREAM's Algorithm 1 (window growth
+//                   to the cap) and one Predict;
+//   feature_row_sN  BatchCostPredictor: each chunk's feature rows go to one
+//                   call that runs Algorithm 1 once and scores every row
+//                   through PredictBatch (the same per-row dot as Predict).
 //
-// plus batch_t8_cache, which adds the striped feature-keyed memo so
-// equivalent QEPs are scored once and repeated optimizations reuse the
-// persistent cache. With --stream, stream_tN configurations run the same
-// batched costing through OptimizeStreaming (the candidate stream's
-// feature rows folded into the online Pareto archive) so the
-// O(front + chunk) pipeline is tracked against the materialized one.
 // Every row records whether its Pareto front and chosen plan match the
-// serial scalar baseline bit for bit (both predictors run the same
+// serial per-plan baseline bit for bit (both predictors run the same
 // per-row dot on every SIMD tier). Emits BENCH_moqp.json so the perf
 // trajectory is tracked across PRs; run via scripts/bench_moqp.sh.
 
@@ -125,23 +118,20 @@ TrainingSet MakeHistory(const Federation& federation, size_t n) {
 
 struct ConfigResult {
   std::string name;
-  std::string mode;  // "scalar", "batch" or "stream"
-  size_t threads = 0;
-  bool cache = false;
+  std::string mode;  // "per_plan" or "feature_row"
+  size_t shards = 0;
   std::vector<double> rep_seconds;
   size_t candidates_examined = 0;
   size_t pareto_size = 0;
   size_t peak_resident = 0;
   bool matches_serial = true;
-  std::vector<size_t> predictor_calls;
-  std::vector<size_t> cache_hits;
 
   double TotalSeconds() const {
     return std::accumulate(rep_seconds.begin(), rep_seconds.end(), 0.0);
   }
 };
 
-int Run(const char* out_path, bool stream) {
+int Run(const char* out_path) {
   // Open the sink before benchmarking: a bad path should fail in
   // milliseconds, not after the timing runs.
   std::FILE* out = stdout;
@@ -159,15 +149,15 @@ int Run(const char* out_path, bool stream) {
 
   // Algorithm 1 with an unreachable R² target grows the window to the cap
   // on every estimate — the per-QEP estimation cost §3 multiplies by the
-  // fleet size. The scalar predictor pays it per candidate; the batch
-  // predictor pays it once per SoA chunk. Both are deterministic functions
-  // of the same history and score rows with the same dot, so their
-  // per-plan costs are bit-identical.
+  // fleet size. The per-plan predictor pays it per candidate; the
+  // feature-row predictor pays it once per chunk. Both are deterministic
+  // functions of the same history and score rows with the same dot, so
+  // their per-plan costs are bit-identical.
   DreamOptions dream_options;
   dream_options.r2_require = 2.0;
   dream_options.m_max = 256;
   dream_options.engine = DreamEngine::kIncremental;
-  const auto scalar_predictor =
+  const auto per_plan_predictor =
       [&](const QueryPlan& plan) -> StatusOr<Vector> {
     MIDAS_ASSIGN_OR_RETURN(Vector x,
                            ExtractFeatures(env.federation, plan));
@@ -176,7 +166,7 @@ int Run(const char* out_path, bool stream) {
                            dream.EstimateCostValue(history));
     return estimate.Predict(x);
   };
-  const MultiObjectiveOptimizer::BatchCostPredictor batch_predictor =
+  const MultiObjectiveOptimizer::BatchCostPredictor feature_row_predictor =
       [&](const Matrix& x, Matrix* costs) -> Status {
     Dream dream(dream_options);
     MIDAS_ASSIGN_OR_RETURN(*costs, dream.PredictCostsBatch(history, x));
@@ -195,61 +185,41 @@ int Run(const char* out_path, bool stream) {
   struct Config {
     std::string name;
     std::string mode;
-    size_t threads;
-    bool cache;
+    size_t shards;
   };
   std::vector<Config> configs;
-  for (size_t threads : {1, 2, 4, 8}) {
-    configs.push_back({"scalar_t" + std::to_string(threads), "scalar",
-                       threads, false});
-  }
-  for (size_t threads : {1, 2, 4, 8}) {
-    configs.push_back({"batch_t" + std::to_string(threads), "batch",
-                       threads, false});
-  }
-  configs.push_back({"batch_t8_cache", "batch", 8, true});
-  if (stream) {
-    for (size_t threads : {1, 8}) {
-      configs.push_back({"stream_t" + std::to_string(threads), "stream",
-                         threads, false});
+  for (const char* mode : {"per_plan", "feature_row"}) {
+    for (size_t shards : {1, 2, 4, 8}) {
+      configs.push_back(
+          {std::string(mode) + "_s" + std::to_string(shards), mode, shards});
     }
-    configs.push_back({"stream_t8_cache", "stream", 8, true});
   }
 
-  // Serial scalar result, against which every other row is checked.
+  // Serial per-plan result, against which every other row is checked.
   std::vector<Vector> baseline_front;
   size_t baseline_chosen = 0;
   std::string baseline_plan;
   for (const Config& config : configs) {
     MoqpOptions options;
     options.enumerator = enumerator;
-    options.threads = config.threads;
-    options.cache_predictions = config.cache;
-    // One optimizer per configuration: the prediction cache persists
-    // across its reps, so rep 1 is the cold run and reps 2+ are warm.
+    options.shards = config.shards;
     MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
                                       options);
     ConfigResult r;
     r.name = config.name;
     r.mode = config.mode;
-    r.threads = config.threads;
-    r.cache = config.cache;
+    r.shards = config.shards;
     for (int rep = 0; rep < kReps; ++rep) {
       const double t0 = NowSeconds();
       StatusOr<MoqpResult> result =
-          config.mode == "scalar"
-              ? optimizer.Optimize(logical, scalar_predictor, policy)
-          : config.mode == "stream"
-              ? optimizer.OptimizeStreaming(logical, batch_predictor,
-                                            policy)
-              : optimizer.Optimize(logical, batch_predictor, policy);
+          config.mode == "per_plan"
+              ? optimizer.Optimize(logical, per_plan_predictor, policy)
+              : optimizer.Optimize(logical, feature_row_predictor, policy);
       result.status().CheckOK();
       r.rep_seconds.push_back(NowSeconds() - t0);
       r.candidates_examined = result->candidates_examined;
       r.pareto_size = result->pareto_costs.size();
       r.peak_resident = result->peak_resident_candidates;
-      r.predictor_calls.push_back(result->predictor_calls);
-      r.cache_hits.push_back(result->cache_hits);
       const std::string chosen_plan =
           result->pareto_plans[result->chosen].ToString();
       if (results.empty() && rep == 0) {
@@ -262,12 +232,9 @@ int Run(const char* out_path, bool stream) {
           chosen_plan != baseline_plan) {
         r.matches_serial = false;
       }
-      std::fprintf(stderr,
-                   "%-15s rep %d: %7.3f s  %zu candidates  "
-                   "%zu predictor calls  %zu cache hits%s\n",
+      std::fprintf(stderr, "%-15s rep %d: %7.3f s  %zu candidates%s\n",
                    config.name.c_str(), rep, r.rep_seconds.back(),
-                   result->candidates_examined, result->predictor_calls,
-                   result->cache_hits,
+                   result->candidates_examined,
                    r.matches_serial ? "" : "  [MISMATCH vs serial]");
     }
     results.push_back(std::move(r));
@@ -280,7 +247,7 @@ int Run(const char* out_path, bool stream) {
   json +=
       "  \"setup\": \"three-table join over a two-cloud federation, VM "
       "counts 1-32 per site (Example 3.1 scale); DREAM window-growth "
-      "estimator, scalar per-plan vs batched costing; " +
+      "estimator, per-plan vs feature-row costing across shard counts; " +
       std::to_string(kReps) + " optimizations per config\",\n";
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
@@ -296,18 +263,13 @@ int Run(const char* out_path, bool stream) {
     char row[512];
     std::snprintf(
         row, sizeof(row),
-        "    {\"config\": \"%s\", \"mode\": \"%s\", \"threads\": %zu, "
-        "\"cache\": %s, \"total_seconds\": %.3f, \"plans_per_sec\": %.0f, "
+        "    {\"config\": \"%s\", \"mode\": \"%s\", \"shards\": %zu, "
+        "\"total_seconds\": %.3f, \"plans_per_sec\": %.0f, "
         "\"speedup_vs_serial\": %.2f, \"pareto_size\": %zu, "
-        "\"peak_resident_candidates\": %zu, "
-        "\"matches_serial\": %s, \"predictor_calls\": [%zu, %zu, %zu], "
-        "\"cache_hits\": [%zu, %zu, %zu]}%s\n",
-        r.name.c_str(), r.mode.c_str(), r.threads,
-        r.cache ? "true" : "false", total, plans_per_sec,
+        "\"peak_resident_candidates\": %zu, \"matches_serial\": %s}%s\n",
+        r.name.c_str(), r.mode.c_str(), r.shards, total, plans_per_sec,
         serial_total / total, r.pareto_size, r.peak_resident,
-        r.matches_serial ? "true" : "false", r.predictor_calls[0],
-        r.predictor_calls[1], r.predictor_calls[2], r.cache_hits[0],
-        r.cache_hits[1], r.cache_hits[2],
+        r.matches_serial ? "true" : "false",
         i + 1 < results.size() ? "," : "");
     json += row;
   }
@@ -322,14 +284,5 @@ int Run(const char* out_path, bool stream) {
 }  // namespace midas
 
 int main(int argc, char** argv) {
-  const char* out_path = nullptr;
-  bool stream = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--stream") {
-      stream = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
-  return midas::Run(out_path, stream);
+  return midas::Run(argc > 1 ? argv[1] : nullptr);
 }

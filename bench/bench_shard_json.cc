@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
     row.shards = shards;
     const double t0 = MonotonicSeconds();
     StatusOr<MoqpResult> result =
-        optimizer.OptimizeStreaming(logical, predictor, policy);
+        optimizer.Optimize(logical, predictor, policy);
     result.status().CheckOK();
     row.total_seconds = MonotonicSeconds() - t0;
     row.candidates = result->candidates_examined;
@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
     json << "  \"setup\": \"3-table chain join over a 3-cloud federation, "
             "VM counts 1-"
          << max_nodes
-         << " per site; linear batch predictor; sharded OptimizeStreaming "
+         << " per site; linear batch predictor; sharded feature-row Optimize "
             "vs the serial single stream\",\n";
     json << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     json << "  \"hardware_concurrency\": " << hardware << ",\n";

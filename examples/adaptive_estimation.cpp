@@ -82,10 +82,12 @@ int main() {
     bool have_predictions = false;
     if (i >= kWarmup) {
       Vector x = ExtractFeatures(federation, plan).ValueOrDie();
-      auto diag = modelling.DreamDiagnostics("q12", dream.dream);
+      // Pin the estimator state the two predictions are compared on.
+      const auto snapshot = modelling.Snapshot();
+      auto diag = modelling.DreamDiagnostics(*snapshot, "q12", dream.dream);
       if (diag.ok()) window = diag->window_size;
-      auto pd = modelling.Predict("q12", x, dream);
-      auto pb = modelling.Predict("q12", x, bml_all);
+      auto pd = modelling.Predict(*snapshot, "q12", x, dream);
+      auto pb = modelling.Predict(*snapshot, "q12", x, bml_all);
       if (pd.ok() && pb.ok()) {
         dream_pred = (*pd)[0];
         bml_pred = (*pb)[0];

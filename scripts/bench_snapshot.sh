@@ -2,14 +2,14 @@
 # Builds and runs the snapshot read-path benchmark, writing the
 # machine-readable results to BENCH_snapshot.json at the repo root:
 # predictions/sec through pinned EstimatorSnapshots at 1/4/16 reader
-# threads with a live writer publishing epochs, against the serial
-# live-path baseline, so snapshot-overhead and reader-scaling changes
-# are tracked across PRs.
+# threads with a live writer publishing epochs, against one serial
+# reader on a single pinned snapshot, plus the publish-cost sweep, so
+# snapshot-overhead and reader-scaling changes are tracked across PRs.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 # Stamp results with the measured code version (read by the emitters).
-export MIDAS_GIT_COMMIT="${MIDAS_GIT_COMMIT:-$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)}"
+export MIDAS_GIT_COMMIT="${MIDAS_GIT_COMMIT:-$(git -C "$repo_root" describe --always --dirty --abbrev=40 2>/dev/null || echo unknown)}"
 build_dir="${BUILD_DIR:-$repo_root/build}"
 
 cmake -B "$build_dir" -S "$repo_root" >/dev/null

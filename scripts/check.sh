@@ -3,20 +3,20 @@
 # the full test suite under each, so numerically delicate code (e.g. the
 # Givens-updated QR factor behind DREAM's incremental engine and the
 # blocked GEMM kernels) is sanitizer-verified on every change and the
-# thread-pool / parallel MOQP / striped-cache paths are race-checked under
+# thread-pool / sharded MOQP pipeline paths are race-checked under
 # ThreadSanitizer. The asan preset also defines _GLIBCXX_ASSERTIONS, so
 # libstdc++'s precondition checks (container bounds, distribution
 # parameters such as std::normal_distribution's stddev > 0) abort the
 # suite on every change. The streaming-pipeline equivalence suites (fast
 # non-dominated sort vs naive oracle, online Pareto archive vs
 # materialized front, candidate stream vs materialized enumeration,
-# OptimizeStreaming vs Optimize across threads x chunk sizes x cache
-# settings, and the serving path vs the per-plan snapshot pipeline) are
-# discovered with the rest and run under every preset.
+# feature-row vs per-plan costing across shard counts x chunk sizes, the
+# randomized MOQP property suite over every algorithm and predictor kind,
+# and the serving path vs an in-test per-plan replay) are discovered with
+# the rest and run under every preset.
 #
-# The snapshot suites ride the same discovery: the snapshot/live
-# equivalence tests run everywhere, the snapshot concurrency suite
-# (readers at 1/4/16 threads pinning epochs against live writers) is
+# The snapshot suites ride the same discovery: the snapshot concurrency
+# suite (readers at 1/4/16 threads pinning epochs against live writers) is
 # race-checked under the tsan preset by default, and the
 # TrainingWindow use-after-mutation death tests arm themselves in the
 # asan/tsan builds (MIDAS_TRAINING_WINDOW_CHECKS; GCC exposes no UBSan

@@ -72,24 +72,6 @@ Status Modelling::RecordBatch(
   return publisher_.RecordBatch(std::move(batch), published_epoch);
 }
 
-StatusOr<Vector> Modelling::Predict(const std::string& scope, const Vector& x,
-                                    const EstimatorConfig& config) const {
-  MIDAS_ASSIGN_OR_RETURN(const TrainingSet* set, history().Get(scope));
-  if (x.size() != num_features()) {
-    return Status::InvalidArgument("feature arity mismatch");
-  }
-  StatusOr<Vector> prediction =
-      config.kind == EstimatorKind::kDream
-          ? [&]() -> StatusOr<Vector> {
-              Dream dream(config.dream);
-              return dream.PredictCosts(*set, x);
-            }()
-          : PredictBml(*set, x, config.window);
-  if (!prediction.ok()) return prediction;
-  MIDAS_RETURN_IF_ERROR(ClampCosts(&*prediction));
-  return prediction;
-}
-
 StatusOr<Vector> Modelling::Predict(const EstimatorSnapshot& snapshot,
                                     const std::string& scope, const Vector& x,
                                     const EstimatorConfig& config) const {
@@ -114,25 +96,6 @@ StatusOr<Vector> Modelling::Predict(const EstimatorSnapshot& snapshot,
     }
     return out;
   }();
-  if (!prediction.ok()) return prediction;
-  MIDAS_RETURN_IF_ERROR(ClampCosts(&*prediction));
-  return prediction;
-}
-
-StatusOr<Matrix> Modelling::PredictBatch(const std::string& scope,
-                                         const Matrix& X,
-                                         const EstimatorConfig& config) const {
-  MIDAS_ASSIGN_OR_RETURN(const TrainingSet* set, history().Get(scope));
-  if (X.cols() != num_features()) {
-    return Status::InvalidArgument("feature arity mismatch");
-  }
-  StatusOr<Matrix> prediction =
-      config.kind == EstimatorKind::kDream
-          ? [&]() -> StatusOr<Matrix> {
-              Dream dream(config.dream);
-              return dream.PredictCostsBatch(*set, X);
-            }()
-          : PredictBmlBatch(*set, X, config.window);
   if (!prediction.ok()) return prediction;
   MIDAS_RETURN_IF_ERROR(ClampCosts(&*prediction));
   return prediction;
@@ -174,50 +137,6 @@ StatusOr<Matrix> Modelling::PredictBatch(const EstimatorSnapshot& snapshot,
   return prediction;
 }
 
-StatusOr<Vector> Modelling::PredictBml(const TrainingSet& set, const Vector& x,
-                                       WindowPolicy window) const {
-  const size_t m =
-      WindowSizeFor(window, BaseWindow(), set.size());
-  if (m < BaseWindow()) {
-    return Status::FailedPrecondition(
-        "history smaller than the base window N");
-  }
-  MIDAS_ASSIGN_OR_RETURN(std::vector<Vector> xs, set.RecentFeatures(m));
-  Vector prediction(num_metrics(), 0.0);
-  // IReS trains one model per metric; the best learner may differ between
-  // execution time and money.
-  for (size_t metric = 0; metric < num_metrics(); ++metric) {
-    MIDAS_ASSIGN_OR_RETURN(Vector ys, set.RecentCosts(m, metric));
-    MIDAS_ASSIGN_OR_RETURN(SelectedModel model, selector_.SelectBest(xs, ys));
-    MIDAS_ASSIGN_OR_RETURN(prediction[metric], model.learner->Predict(x));
-  }
-  return prediction;
-}
-
-StatusOr<Matrix> Modelling::PredictBmlBatch(const TrainingSet& set,
-                                            const Matrix& X,
-                                            WindowPolicy window) const {
-  const size_t m = WindowSizeFor(window, BaseWindow(), set.size());
-  if (m < BaseWindow()) {
-    return Status::FailedPrecondition(
-        "history smaller than the base window N");
-  }
-  MIDAS_ASSIGN_OR_RETURN(std::vector<Vector> xs, set.RecentFeatures(m));
-  Matrix prediction(X.rows(), num_metrics());
-  // One selection per metric for the whole batch; selection is
-  // deterministic, so the winner matches the per-row path's. The column
-  // and learner workspace are hoisted out of the metric loop.
-  Vector column;
-  PredictWorkspace workspace;
-  for (size_t metric = 0; metric < num_metrics(); ++metric) {
-    MIDAS_ASSIGN_OR_RETURN(Vector ys, set.RecentCosts(m, metric));
-    MIDAS_ASSIGN_OR_RETURN(SelectedModel model, selector_.SelectBest(xs, ys));
-    MIDAS_RETURN_IF_ERROR(model.learner->PredictBatch(X, &column, &workspace));
-    for (size_t r = 0; r < X.rows(); ++r) prediction(r, metric) = column[r];
-  }
-  return prediction;
-}
-
 StatusOr<BmlScopeFit> Modelling::FitBml(const TrainingSet& set,
                                         WindowPolicy window) const {
   const size_t base = set.num_features() + 2;
@@ -237,13 +156,6 @@ StatusOr<BmlScopeFit> Modelling::FitBml(const TrainingSet& set,
     fit.names.push_back(std::move(model.name));
   }
   return fit;
-}
-
-StatusOr<DreamEstimate> Modelling::DreamDiagnostics(
-    const std::string& scope, const DreamOptions& options) const {
-  MIDAS_ASSIGN_OR_RETURN(const TrainingSet* set, history().Get(scope));
-  Dream dream(options);
-  return dream.EstimateCostValue(*set);
 }
 
 StatusOr<DreamEstimate> Modelling::DreamDiagnostics(

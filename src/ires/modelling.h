@@ -41,12 +41,10 @@ std::string EstimatorName(const EstimatorConfig& config);
 ///
 /// Storage is owned by a SnapshotPublisher, splitting the read path from
 /// the write path: Record applies feedback through the publisher (one
-/// published epoch per batch), while concurrent readers pin an immutable
-/// EstimatorSnapshot via Snapshot() and predict against it with the
-/// snapshot-taking Predict/PredictBatch overloads. The snapshot-less
-/// overloads read the writer-side live history directly — the legacy
-/// single-threaded path, bit-identical to predicting against a snapshot
-/// pinned at the same point.
+/// published epoch per batch), while readers pin an immutable
+/// EstimatorSnapshot via Snapshot() and predict against it. Predictions
+/// have one path: every Predict/PredictBatch/DreamDiagnostics call takes
+/// the pinned snapshot, so a single-threaded caller pins one too.
 class Modelling {
  public:
   /// \param feature_names regression variables (see ires/features.h)
@@ -87,55 +85,36 @@ class Modelling {
                      uint64_t* published_epoch = nullptr);
 
   /// Predicts the full cost vector of feature point `x` for `scope`
-  /// against the writer-side live history (single-threaded legacy path).
-  /// Negative costs clamp to 0; a non-finite cost (e.g. from a NaN
-  /// recorded into the history) fails with FailedPrecondition on every
-  /// Predict/PredictBatch overload instead of reaching the optimizer.
-  StatusOr<Vector> Predict(const std::string& scope, const Vector& x,
-                           const EstimatorConfig& config) const;
-
-  /// Predicts against a pinned snapshot: safe under concurrent Record
-  /// traffic and bit-identical to the live path at the same state. Fits
+  /// against a pinned snapshot: safe under concurrent Record traffic. Fits
   /// are memoised inside the snapshot, so thousands of predictions per
-  /// epoch fit DREAM/BML once.
+  /// epoch fit DREAM/BML once. Negative costs clamp to 0; a non-finite
+  /// cost (e.g. from a NaN recorded into the history) fails with
+  /// FailedPrecondition on Predict and PredictBatch instead of reaching the
+  /// optimizer.
   StatusOr<Vector> Predict(const EstimatorSnapshot& snapshot,
                            const std::string& scope, const Vector& x,
                            const EstimatorConfig& config) const;
 
   /// Batched Predict: one cost row per feature row of X (columns in metric
-  /// order), with the estimator fitted *once* for the whole batch instead
-  /// of per candidate as the per-row path does. DREAM runs Algorithm 1
-  /// once and scores each row with Predict's own dot product, so row r
-  /// equals Predict(scope, X.Row(r), config) bit for bit on every SIMD
-  /// tier. BML selects each metric's best model once and calls its
-  /// vectorised PredictBatch: bit-identical under the scalar tier, within
-  /// the SIMD layer's 1e-12 relative policy otherwise (linalg/simd.h).
-  StatusOr<Matrix> PredictBatch(const std::string& scope, const Matrix& X,
-                                const EstimatorConfig& config) const;
-
-  /// Snapshot-taking batched Predict (see the scalar overload above).
+  /// order) from the snapshot's one memoised fit. DREAM scores each row
+  /// with Predict's own dot product, so row r equals
+  /// Predict(snapshot, scope, X.Row(r), config) bit for bit on every SIMD
+  /// tier. BML calls each metric's selected learner's vectorised
+  /// PredictBatch: bit-identical under the scalar tier, within the SIMD
+  /// layer's 1e-12 relative policy otherwise (linalg/simd.h).
   StatusOr<Matrix> PredictBatch(const EstimatorSnapshot& snapshot,
                                 const std::string& scope, const Matrix& X,
                                 const EstimatorConfig& config) const;
 
-  /// DREAM diagnostic: the estimate (window size, per-metric R²) that a
-  /// kDream prediction for this scope would use right now.
-  StatusOr<DreamEstimate> DreamDiagnostics(const std::string& scope,
-                                           const DreamOptions& options) const;
-
-  /// Snapshot-taking diagnostic variant (reads the frozen window).
+  /// DREAM diagnostic: the estimate (window size, per-metric R²) a kDream
+  /// prediction for this scope uses at the snapshot's epoch.
   StatusOr<DreamEstimate> DreamDiagnostics(const EstimatorSnapshot& snapshot,
                                            const std::string& scope,
                                            const DreamOptions& options) const;
 
  private:
-  StatusOr<Vector> PredictBml(const TrainingSet& set, const Vector& x,
-                              WindowPolicy window) const;
-  StatusOr<Matrix> PredictBmlBatch(const TrainingSet& set, const Matrix& X,
-                                   WindowPolicy window) const;
-
   /// Deterministic BML fit over the set's window — the snapshot memo's
-  /// fitter (selection matches PredictBml's winner exactly).
+  /// fitter: one ModelSelector winner per metric.
   StatusOr<BmlScopeFit> FitBml(const TrainingSet& set,
                                WindowPolicy window) const;
 

@@ -156,9 +156,8 @@ class SnapshotPublisher {
 
   /// \brief Publication hook: `listener` runs after every successful
   /// publication with the new snapshot's epoch — the attachment point for
-  /// epoch-keyed caches that must stay bounded in a long-lived server
-  /// (e.g. FeatureCostCache::PruneOtherEpochs on the optimizer's
-  /// prediction memo).
+  /// state that must follow the published epoch in a long-lived server
+  /// (e.g. evicting epoch-keyed entries, or a test's hold point).
   ///
   /// Listeners are invoked OUTSIDE the publisher mutex, on whichever
   /// thread triggered the publication (the Record/RecordBatch writer, or

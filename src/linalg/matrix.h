@@ -18,8 +18,8 @@ namespace midas {
 using Vector = AlignedVector<double>;
 
 /// \brief Bitwise hash for Vector, for unordered containers keyed by exact
-/// cost or feature vectors (e.g. the MOQP cost dedup and the plan-feature
-/// prediction cache). Normalises -0.0 to 0.0 so vectors that compare equal
+/// cost or feature vectors (e.g. the MOQP Pareto archive's cost dedup).
+/// Normalises -0.0 to 0.0 so vectors that compare equal
 /// under operator== hash identically; NaN keys are unusable either way
 /// (NaN != NaN).
 struct VectorHash {

@@ -147,9 +147,7 @@ StatusOr<MreReport> RunMreExperiment(MreExperimentOptions options) {
         MIDAS_ASSIGN_OR_RETURN(Vector x, ExtractFeatures(federation, plan));
         // The drift loop is the writer (feedback below publishes a new
         // epoch every run); this evaluation pass is a reader pinning ONE
-        // snapshot so every estimator scores the same frozen state. The
-        // fits are deterministic, so the numbers are bit-identical to the
-        // live-history path.
+        // snapshot so every estimator scores the same frozen state.
         std::shared_ptr<const EstimatorSnapshot> snapshot =
             modelling.Snapshot();
         for (size_t e = 0; e < options.estimators.size(); ++e) {

@@ -1,7 +1,6 @@
 #include "midas/midas.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "ires/features.h"
 #include "query/enumerator.h"
@@ -24,14 +23,6 @@ MidasSystem::MidasSystem(Federation federation, Catalog catalog,
                                            modelling_.get());
   optimizer_ = std::make_unique<MultiObjectiveOptimizer>(
       &federation_, &catalog_, options_.moqp);
-  // Long-lived-service hygiene: each published feedback epoch immediately
-  // evicts prediction-cache entries keyed to superseded epochs, so the
-  // cache footprint tracks one epoch's working set no matter how long the
-  // process serves (no-op unless moqp.cache_predictions is on).
-  modelling_->publisher().AddPublishListener(
-      [optimizer = optimizer_.get()](uint64_t epoch) {
-        optimizer->OnSnapshotPublished(epoch);
-      });
 }
 
 Status MidasSystem::Bootstrap(const std::string& scope,
@@ -63,25 +54,15 @@ Status MidasSystem::Bootstrap(const std::string& scope,
   return Status::OK();
 }
 
-StatusOr<Vector> MidasSystem::PredictPlanCosts(const std::string& scope,
-                                               const QueryPlan& plan) const {
-  MIDAS_ASSIGN_OR_RETURN(Vector features, ExtractFeatures(federation_, plan));
-  return modelling_->Predict(scope, features, options_.estimator);
-}
-
 StatusOr<QueryOutcome> MidasSystem::OptimizeQuery(
     const std::shared_ptr<const EstimatorSnapshot>& snapshot,
     const QueryRequest& request) const {
   if (snapshot == nullptr) {
     return Status::InvalidArgument("OptimizeQuery needs a pinned snapshot");
   }
-  // Prediction-cache namespace: costs are a function of (features, epoch)
-  // only WITHIN one history scope — concurrent tenants pinned to the same
-  // epoch must not read each other's cached estimates.
-  const uint64_t cache_namespace = std::hash<std::string>{}(request.scope);
   // Every candidate is scored as a feature row against the pinned
-  // snapshot; OptimizeStreaming builds plans only for the Pareto front,
-  // at any shard count.
+  // snapshot; the optimizer builds plans only for the Pareto front, at any
+  // shard count.
   MultiObjectiveOptimizer::BatchCostPredictor predictor =
       [this, &request, &snapshot](const Matrix& features,
                                   Matrix* costs) -> Status {
@@ -93,8 +74,8 @@ StatusOr<QueryOutcome> MidasSystem::OptimizeQuery(
   QueryOutcome outcome;
   MIDAS_ASSIGN_OR_RETURN(
       outcome.moqp,
-      optimizer_->OptimizeStreaming(request.logical, predictor, request.policy,
-                                    snapshot->epoch(), cache_namespace));
+      optimizer_->Optimize(request.logical, predictor, request.policy));
+  outcome.moqp.snapshot_epoch = snapshot->epoch();
   outcome.predicted = outcome.moqp.chosen_costs();
   outcome.estimator = EstimatorName(options_.estimator);
   return outcome;
@@ -104,9 +85,8 @@ StatusOr<QueryOutcome> MidasSystem::RunQuery(const std::string& scope,
                                              const QueryPlan& logical,
                                              const QueryPolicy& policy) {
   // Pin one estimator snapshot for the whole optimization: every candidate
-  // cost comes from the same epoch, and the cache (if enabled) is keyed by
-  // it, so feedback recorded concurrently can never skew this query's
-  // Pareto front.
+  // cost comes from the same epoch, so feedback recorded concurrently can
+  // never skew this query's Pareto front.
   QueryRequest request{scope, logical, policy};
   MIDAS_ASSIGN_OR_RETURN(
       QueryOutcome outcome,

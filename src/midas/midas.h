@@ -83,10 +83,9 @@ class MidasSystem {
   /// \brief The read-only half of RunQuery: enumerate → cost → Pareto →
   /// Algorithm 2 for `request`, predicting every candidate against the
   /// pinned `snapshot` (whose epoch lands in MoqpResult::snapshot_epoch).
-  /// One pipeline at every options.moqp.shards value:
-  /// MultiObjectiveOptimizer::OptimizeStreaming scores the candidate
-  /// stream as feature rows through Modelling::PredictBatch and builds
-  /// plans only for the Pareto front. Fills moqp/predicted/estimator;
+  /// One pipeline at every options.moqp.shards value: the feature-row
+  /// MultiObjectiveOptimizer::Optimize scores the candidate stream through
+  /// Modelling::PredictBatch and builds plans only for the Pareto front. Fills moqp/predicted/estimator;
   /// `actual` stays zero — nothing executes and no feedback is recorded.
   /// A non-finite predicted cost fails the query (FailedPrecondition).
   ///
@@ -94,8 +93,7 @@ class MidasSystem {
   /// same or different snapshots — the concurrency point the QueryService
   /// executor slots fan out over. (The DREAM default and the deterministic
   /// BML selector are both pure functions of the snapshot's frozen
-  /// windows; the shared prediction cache is epoch-keyed and
-  /// lock-striped.)
+  /// windows.)
   StatusOr<QueryOutcome> OptimizeQuery(
       const std::shared_ptr<const EstimatorSnapshot>& snapshot,
       const QueryRequest& request) const;
@@ -120,12 +118,6 @@ class MidasSystem {
   /// state, so concurrent callers must serialize their executions (the
   /// QueryService feedback path does).
   Scheduler& scheduler() { return *scheduler_; }
-
-  /// Predicts plan costs for `scope` with the configured estimator —
-  /// exposed for experiments that bypass execution. Reads the live
-  /// history (single-threaded convenience path).
-  StatusOr<Vector> PredictPlanCosts(const std::string& scope,
-                                    const QueryPlan& plan) const;
 
  private:
   Federation federation_;

@@ -9,6 +9,17 @@
 
 namespace midas {
 
+Status ValidatePolicy(const QueryPolicy& policy) {
+  MIDAS_RETURN_IF_ERROR(ValidateWeights(policy.weights));
+  if (policy.constraints.size() > policy.weights.size()) {
+    return Status::InvalidArgument("more constraints than metrics");
+  }
+  for (double bound : policy.constraints) {
+    if (std::isnan(bound)) return Status::InvalidArgument("NaN constraint");
+  }
+  return Status::OK();
+}
+
 StatusOr<size_t> BestInPareto(const std::vector<Vector>& pareto_costs,
                               const QueryPolicy& policy) {
   if (pareto_costs.empty()) {
@@ -18,9 +29,7 @@ StatusOr<size_t> BestInPareto(const std::vector<Vector>& pareto_costs,
   if (policy.weights.size() != arity) {
     return Status::InvalidArgument("policy weights arity mismatch");
   }
-  if (!policy.constraints.empty() && policy.constraints.size() > arity) {
-    return Status::InvalidArgument("more constraints than metrics");
-  }
+  MIDAS_RETURN_IF_ERROR(ValidatePolicy(policy));
 
   // PB <- plans meeting every constraint (line 2 of Algorithm 2).
   std::vector<size_t> feasible;

@@ -16,8 +16,15 @@ struct QueryPolicy {
   Vector constraints;
 };
 
+/// Rejects a policy Algorithm 2 cannot rank with: weights failing
+/// ValidateWeights (negative, non-finite or summing to zero), more
+/// constraints than weights, or a NaN constraint (`cost > NaN` is false for
+/// every plan, so it would be silently ignored). An infinite constraint is a
+/// valid "no limit". InvalidArgument either way.
+Status ValidatePolicy(const QueryPolicy& policy);
+
 /// \brief Algorithm 2 (BestInPareto): picks the final QEP from a Pareto
-/// plan set P given the user policy.
+/// plan set P given the user policy (which must pass ValidatePolicy).
 ///
 /// First restricts P to the plans meeting every constraint B_n
 /// (PB = {p : c_n(p) <= B_n ∀n <= |B|}); if any survive, returns the

@@ -8,19 +8,16 @@
 
 namespace midas {
 
-namespace {
-
 Status ValidateWeights(const Vector& weights) {
   double sum = 0.0;
   for (double w : weights) {
+    if (!std::isfinite(w)) return Status::InvalidArgument("non-finite weight");
     if (w < 0.0) return Status::InvalidArgument("negative weight");
     sum += w;
   }
   if (sum <= 0.0) return Status::InvalidArgument("weights sum to zero");
   return Status::OK();
 }
-
-}  // namespace
 
 StatusOr<double> WeightedSum(const Vector& costs, const Vector& weights) {
   if (costs.size() != weights.size()) {

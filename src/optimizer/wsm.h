@@ -9,10 +9,15 @@
 
 namespace midas {
 
+/// Rejects weights no weighted sum can rank with: a negative or non-finite
+/// weight, or weights that do not sum to a positive value. NaN fails every
+/// comparison and +Inf passes both sign checks, so both are named
+/// explicitly; InvalidArgument either way.
+Status ValidateWeights(const Vector& weights);
+
 /// Weighted-sum scalarisation of a cost vector with *normalised* costs:
 /// each metric is first divided by its range over the candidate set so the
-/// weights compare like with like. Weights must be non-negative and sum to
-/// a positive value.
+/// weights compare like with like. Weights must pass ValidateWeights.
 StatusOr<double> WeightedSum(const Vector& costs, const Vector& weights);
 
 /// \brief Scalarises every candidate and returns the argmin index — the

@@ -128,7 +128,9 @@ TEST(EquivalenceTest, ModellingDreamMatchesRawDream) {
   }
   EstimatorConfig config = EstimatorConfig::DreamDefault();
   const Vector probe = {5.5};
-  auto module_pred = modelling.Predict("q", probe, config).ValueOrDie();
+  auto module_pred =
+      modelling.Predict(*modelling.Snapshot(), "q", probe, config)
+          .ValueOrDie();
   Dream raw(config.dream);
   auto raw_pred = raw.PredictCosts(mirror, probe).ValueOrDie();
   EXPECT_DOUBLE_EQ(module_pred[0], raw_pred[0]);

@@ -1,10 +1,10 @@
-// Parallel == serial equivalence: every parallel knob added to the MOQP
-// pipeline (cost prediction, NSGA offspring evaluation, bagging ensemble
-// training, cached prediction) must produce bit-identical results at any
-// thread count, and across repeated runs at the same thread count. Where a
-// case compares batched (GEMM) against per-row costing, the costs follow
-// the SIMD determinism policy instead: bitwise only with the scalar tier
-// pinned.
+// Parallel == serial equivalence: every parallel knob of the MOQP
+// pipeline (candidate-stream shards, NSGA offspring evaluation, bagging
+// ensemble training) must produce bit-identical results at any thread
+// count, and across repeated runs at the same thread count. Where a case
+// compares feature-row against per-plan costing, the predictor is a DREAM
+// estimate whose batch scoring runs Predict's per-row dot, so the costs
+// are bitwise equal on every SIMD tier.
 
 #include <atomic>
 #include <vector>
@@ -20,11 +20,13 @@
 #include "optimizer/nsga2.h"
 #include "optimizer/nsga_g.h"
 #include "optimizer/problem.h"
+#include "support/moqp_testing.h"
 
 namespace midas {
 namespace {
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
+constexpr size_t kChunkSizes[] = {0, 1, 7, 1024};
 
 struct Environment {
   Federation federation;
@@ -94,45 +96,30 @@ MultiObjectiveOptimizer::CostPredictor OraclePredictor(
   };
 }
 
-void ExpectSameResult(const MoqpResult& a, const MoqpResult& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.candidates_examined, b.candidates_examined) << label;
-  EXPECT_EQ(a.pareto_costs, b.pareto_costs) << label;
-  EXPECT_EQ(a.chosen, b.chosen) << label;
-  ASSERT_EQ(a.pareto_plans.size(), b.pareto_plans.size()) << label;
-  for (size_t i = 0; i < a.pareto_plans.size(); ++i) {
-    EXPECT_EQ(a.pareto_plans[i].ToString(), b.pareto_plans[i].ToString())
-        << label << " plan " << i;
-  }
-}
-
 TEST(ParallelEquivalenceTest, MoqpExhaustiveIdenticalAcrossThreadCounts) {
   Environment env = MakeEnvironment();
   ExecutionSimulator sim(&env.federation, &env.catalog, Deterministic());
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
 
-  MoqpOptions serial_options;
-  serial_options.threads = 1;
-  MultiObjectiveOptimizer serial(&env.federation, &env.catalog,
-                                 serial_options);
+  MultiObjectiveOptimizer serial(&env.federation, &env.catalog);
   auto baseline =
       serial.Optimize(LogicalJoin(), OraclePredictor(&sim), policy);
   ASSERT_TRUE(baseline.ok());
 
-  for (size_t threads : kThreadCounts) {
+  for (size_t shards : kThreadCounts) {
     MoqpOptions options;
-    options.threads = threads;
+    options.shards = shards;
     MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
                                       options);
-    // Repeated runs at the same thread count must also agree (no
+    // Repeated runs at the same shard count must also agree (no
     // scheduling-order leakage into results).
     for (int rep = 0; rep < 2; ++rep) {
       auto result =
           optimizer.Optimize(LogicalJoin(), OraclePredictor(&sim), policy);
       ASSERT_TRUE(result.ok());
       ExpectSameResult(*baseline, *result,
-                       "threads=" + std::to_string(threads) + " rep=" +
+                       "shards=" + std::to_string(shards) + " rep=" +
                            std::to_string(rep));
     }
   }
@@ -151,7 +138,7 @@ TEST(ParallelEquivalenceTest, MoqpNsgaIdenticalAcrossThreadCounts) {
     for (size_t threads : kThreadCounts) {
       MoqpOptions options;
       options.algorithm = algorithm;
-      options.threads = threads;
+      options.shards = threads;
       options.nsga2.population_size = 24;
       options.nsga2.generations = 12;
       options.nsga2.evaluation_threads = threads;
@@ -261,69 +248,12 @@ TEST(ParallelEquivalenceTest, BaggingEnsembleBitIdentical) {
   }
 }
 
-TEST(ParallelEquivalenceTest, CachedPredictionsMatchUncached) {
-  Environment env = MakeEnvironment();
-  ExecutionSimulator sim(&env.federation, &env.catalog, Deterministic());
-  QueryPolicy policy;
-  policy.weights = {0.5, 0.5};
-
-  MultiObjectiveOptimizer uncached(&env.federation, &env.catalog);
-  auto baseline =
-      uncached.Optimize(LogicalJoin(), OraclePredictor(&sim), policy);
-  ASSERT_TRUE(baseline.ok());
-
-  // The deterministic simulator's expected cost depends only on the plan's
-  // extracted features for this single-join query, so caching is sound
-  // here and must not change any result.
-  MoqpOptions options;
-  options.threads = 2;
-  options.cache_predictions = true;
-  MultiObjectiveOptimizer cached(&env.federation, &env.catalog, options);
-
-  std::atomic<size_t> cold_calls{0};
-  auto cold =
-      cached.Optimize(LogicalJoin(), OraclePredictor(&sim, &cold_calls),
-                      policy);
-  ASSERT_TRUE(cold.ok());
-  ExpectSameResult(*baseline, *cold, "cold cache");
-  // Equivalent QEPs collapse onto shared feature vectors: fewer predictor
-  // calls than candidates, and the result reports the collapse.
-  EXPECT_EQ(cold->predictor_calls, cold_calls.load());
-  EXPECT_LT(cold->predictor_calls, cold->candidates_examined);
-  EXPECT_EQ(cold->cache_hits, 0u);
-  EXPECT_EQ(cold->cache_misses, cold->predictor_calls);
-
-  // Second run on the same optimizer: everything is a hit.
-  std::atomic<size_t> warm_calls{0};
-  auto warm =
-      cached.Optimize(LogicalJoin(), OraclePredictor(&sim, &warm_calls),
-                      policy);
-  ASSERT_TRUE(warm.ok());
-  ExpectSameResult(*baseline, *warm, "warm cache");
-  EXPECT_EQ(warm_calls.load(), 0u);
-  EXPECT_EQ(warm->predictor_calls, 0u);
-  EXPECT_EQ(warm->cache_misses, 0u);
-  EXPECT_GT(warm->cache_hits, 0u);
-  EXPECT_EQ(cached.prediction_cache().size(), cold->cache_misses);
-
-  // Clearing the cache forces fresh predictions again.
-  cached.ClearPredictionCache();
-  std::atomic<size_t> cleared_calls{0};
-  auto cleared =
-      cached.Optimize(LogicalJoin(), OraclePredictor(&sim, &cleared_calls),
-                      policy);
-  ASSERT_TRUE(cleared.ok());
-  ExpectSameResult(*baseline, *cleared, "cleared cache");
-  EXPECT_EQ(cleared_calls.load(), cold_calls.load());
-}
-
 TEST(ParallelEquivalenceTest, BatchedCostingMatchesScalarSerial) {
-  // The batched costing stage (SoA feature matrix -> chunked PredictBatch)
-  // must reproduce the serial scalar pipeline: same front, same chosen
-  // plan, at every thread count, batch size, and cache setting. The
-  // predictor is a captured DREAM estimate, whose PredictBatch runs the
-  // same per-row dot as its Predict, so the whole result is bitwise equal
-  // on every SIMD tier.
+  // The feature-row costing stage (one PredictBatch per chunk) must
+  // reproduce the serial per-plan pipeline: same front, same chosen plan,
+  // at every shard count and chunk size. The predictor is a captured DREAM
+  // estimate, whose PredictBatch runs the same per-row dot as its Predict,
+  // so the whole result is bitwise equal on every SIMD tier.
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
@@ -364,104 +294,28 @@ TEST(ParallelEquivalenceTest, BatchedCostingMatchesScalarSerial) {
     return Status::OK();
   };
 
-  MoqpOptions serial_options;
-  serial_options.threads = 1;
-  MultiObjectiveOptimizer serial(&env.federation, &env.catalog,
-                                 serial_options);
+  MultiObjectiveOptimizer serial(&env.federation, &env.catalog);
   auto baseline = serial.Optimize(LogicalJoin(), scalar_predictor, policy);
   ASSERT_TRUE(baseline.ok());
 
-  for (size_t threads : kThreadCounts) {
-    for (size_t batch_size : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
-      for (bool cache : {false, true}) {
-        MoqpOptions options;
-        options.threads = threads;
-        options.batch_size = batch_size;
-        options.cache_predictions = cache;
-        MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
-                                          options);
-        auto result = optimizer.Optimize(LogicalJoin(), batch_predictor,
+  for (size_t shards : kThreadCounts) {
+    for (size_t chunk : kChunkSizes) {
+      MoqpOptions options;
+      options.shards = shards;
+      options.stream_chunk_size = chunk;
+      MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
+                                        options);
+      const std::string label = "shards=" + std::to_string(shards) +
+                                " chunk=" + std::to_string(chunk);
+      auto result = optimizer.Optimize(LogicalJoin(), batch_predictor,
+                                       policy);
+      ASSERT_TRUE(result.ok()) << label;
+      ExpectSameResult(*baseline, *result, label);
+      // The per-plan pipeline at the same settings, too.
+      auto per_plan = optimizer.Optimize(LogicalJoin(), scalar_predictor,
                                          policy);
-        const std::string label = "threads=" + std::to_string(threads) +
-                                  " batch=" + std::to_string(batch_size) +
-                                  " cache=" + std::to_string(cache);
-        ASSERT_TRUE(result.ok()) << label;
-        ExpectSameResult(*baseline, *result, label);
-        if (cache) {
-          // Deduped: each distinct feature vector scored at most once.
-          EXPECT_LE(result->predictor_calls, result->candidates_examined)
-              << label;
-          EXPECT_EQ(result->cache_misses, result->predictor_calls) << label;
-        } else {
-          EXPECT_EQ(result->predictor_calls, result->candidates_examined)
-              << label;
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelEquivalenceTest, StreamingMatchesMaterializedBatched) {
-  // The streaming pipeline (chunked enumeration -> batched costing ->
-  // online Pareto archive) must reproduce the materialized batched path
-  // bit-for-bit at every thread count, stream chunk size, and cache
-  // setting, while never holding more candidates than the materialized
-  // run does.
-  Environment env = MakeEnvironment();
-  QueryPolicy policy;
-  policy.weights = {0.5, 0.5};
-
-  // Pure function of the feature rows, so it is thread-safe and sound to
-  // cache.
-  MultiObjectiveOptimizer::BatchCostPredictor predictor =
-      [](const Matrix& features, Matrix* costs) -> Status {
-    *costs = Matrix(features.rows(), 2, 0.0);
-    for (size_t r = 0; r < features.rows(); ++r) {
-      double time = 3.0;
-      double money = 0.2;
-      for (size_t c = 0; c < features.cols(); ++c) {
-        time += (0.5 + 0.1 * c) * features(r, c);
-        money += 0.01 * features(r, c);
-      }
-      (*costs)(r, 0) = time;
-      (*costs)(r, 1) = money;
-    }
-    return Status::OK();
-  };
-
-  MoqpOptions serial_options;
-  serial_options.threads = 1;
-  MultiObjectiveOptimizer serial(&env.federation, &env.catalog,
-                                 serial_options);
-  auto baseline = serial.Optimize(LogicalJoin(), predictor, policy);
-  ASSERT_TRUE(baseline.ok());
-
-  for (size_t threads : kThreadCounts) {
-    for (size_t chunk : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
-      for (bool cache : {false, true}) {
-        MoqpOptions options;
-        options.threads = threads;
-        options.stream_chunk_size = chunk;
-        options.batch_size = 16;
-        options.cache_predictions = cache;
-        MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
-                                          options);
-        auto result =
-            optimizer.OptimizeStreaming(LogicalJoin(), predictor, policy);
-        const std::string label = "threads=" + std::to_string(threads) +
-                                  " chunk=" + std::to_string(chunk) +
-                                  " cache=" + std::to_string(cache);
-        ASSERT_TRUE(result.ok()) << label;
-        ExpectSameResult(*baseline, *result, label);
-        EXPECT_LE(result->peak_resident_candidates,
-                  baseline->peak_resident_candidates)
-            << label;
-        if (chunk == 1) {
-          EXPECT_LT(result->peak_resident_candidates,
-                    baseline->peak_resident_candidates)
-              << label;
-        }
-      }
+      ASSERT_TRUE(per_plan.ok()) << label;
+      ExpectSameResult(*baseline, *per_plan, label + " per-plan");
     }
   }
 }
@@ -471,7 +325,7 @@ TEST(ParallelEquivalenceTest, BatchedPredictorErrorsSurface) {
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
   MoqpOptions options;
-  options.threads = 4;
+  options.shards = 4;
   MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog, options);
 
   MultiObjectiveOptimizer::BatchCostPredictor failing =
@@ -511,16 +365,13 @@ TEST(ParallelEquivalenceTest, ParallelFirstErrorMatchesSerial) {
   };
   Status serial_status, parallel_status;
   {
-    MoqpOptions options;
-    options.threads = 1;
-    MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
-                                      options);
+    MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog);
     serial_status = optimizer.Optimize(LogicalJoin(), failing, policy)
                         .status();
   }
   {
     MoqpOptions options;
-    options.threads = 8;
+    options.shards = 8;
     MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
                                       options);
     parallel_status = optimizer.Optimize(LogicalJoin(), failing, policy)

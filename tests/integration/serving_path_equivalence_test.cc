@@ -1,15 +1,19 @@
-// Serving path == per-plan path: MidasSystem::OptimizeQuery scores the
+// Serving path == per-plan replay: MidasSystem::OptimizeQuery scores the
 // candidate stream as feature rows through the batched snapshot predictor
-// and builds plans only for the Pareto front. Its outcome must equal the
-// per-plan pipeline — Optimize(CostPredictor) over EnumeratePhysical with
-// ExtractFeatures + Modelling::Predict against the same pinned snapshot —
-// bit for bit: Pareto costs, chosen index, plan strings and the predicted
-// cost vector, at every shard count, with the prediction cache on and off,
-// under policies that include the w = 0.5 tie and infeasible constraints.
+// and builds plans only for the Pareto front. Its outcome must equal an
+// independent replay kept inside this test — EnumeratePhysical, then
+// ExtractFeatures and Modelling::Predict per plan against the same pinned
+// snapshot, ParetoFrontIndices with first-representative dedup, and
+// BestInPareto — bit for bit: Pareto costs, chosen index, plan strings and
+// the predicted cost vector, at every shard count, under policies that
+// include the w = 0.5 tie and infeasible constraints. The per-plan
+// Optimize(CostPredictor) runs the same fold as the served path, so it is
+// checked against the replay too rather than serving as the reference.
+// This is the replay the end-to-end benchmark's output checks run.
 // scripts/check.sh runs it under the default and force-scalar presets.
 
-#include <functional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +21,8 @@
 #include "ires/features.h"
 #include "midas/medical.h"
 #include "midas/midas.h"
+#include "optimizer/pareto.h"
+#include "query/enumerator.h"
 
 namespace midas {
 namespace {
@@ -46,7 +52,7 @@ struct Config {
   size_t m_max_windows = 0;
 };
 
-MidasSystem MakeSystem(const Config& config, size_t shards, bool cache) {
+MidasSystem MakeSystem(const Config& config, size_t shards) {
   Federation federation = config.three_clouds
                               ? Federation::ThreeCloudFederation()
                               : Federation::PaperFederation();
@@ -55,7 +61,6 @@ MidasSystem MakeSystem(const Config& config, size_t shards, bool cache) {
   options.seed = 4242;
   options.moqp.enumerator.node_counts = config.node_counts;
   options.moqp.shards = shards;
-  options.moqp.cache_predictions = cache;
   options.moqp.stream_chunk_size = 100;  // several chunks per query
   if (config.m_max_windows > 0) {
     options.estimator.dream.m_max =
@@ -65,21 +70,53 @@ MidasSystem MakeSystem(const Config& config, size_t shards, bool cache) {
                      MakeMedicalCatalog(0.05).ValueOrDie(), options);
 }
 
-void ExpectSameOutcome(const QueryOutcome& served, const MoqpResult& reference,
-                       const std::string& label) {
-  EXPECT_EQ(served.moqp.candidates_examined, reference.candidates_examined)
-      << label;
-  EXPECT_EQ(served.moqp.pareto_costs, reference.pareto_costs) << label;
-  EXPECT_EQ(served.moqp.chosen, reference.chosen) << label;
-  ASSERT_EQ(served.moqp.pareto_plans.size(), reference.pareto_plans.size())
-      << label;
-  for (size_t i = 0; i < reference.pareto_plans.size(); ++i) {
-    EXPECT_EQ(served.moqp.pareto_plans[i].ToString(),
-              reference.pareto_plans[i].ToString())
+// The replay's result: the distinct Pareto front in enumeration order, its
+// plans and Algorithm 2's choice.
+struct Reference {
+  size_t candidates = 0;
+  std::vector<Vector> front;
+  std::vector<std::string> plans;
+  size_t chosen = 0;
+};
+
+Reference Replay(MidasSystem& system, const EstimatorSnapshot& snapshot,
+                 const std::string& scope, const QueryPlan& query,
+                 const QueryPolicy& policy) {
+  const PlanEnumerator enumerator(&system.federation(), &system.catalog(),
+                                  system.options().moqp.enumerator);
+  const std::vector<QueryPlan> plans =
+      enumerator.EnumeratePhysical(query).ValueOrDie();
+  std::vector<Vector> costs(plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    const Vector features =
+        ExtractFeatures(system.federation(), plans[i]).ValueOrDie();
+    costs[i] = system.modelling()
+                   .Predict(snapshot, scope, features,
+                            system.options().estimator)
+                   .ValueOrDie();
+  }
+  Reference reference;
+  reference.candidates = plans.size();
+  std::unordered_set<Vector, VectorHash> seen;
+  for (size_t idx : ParetoFrontIndices(costs, /*threads=*/1)) {
+    if (!seen.insert(costs[idx]).second) continue;
+    reference.front.push_back(costs[idx]);
+    reference.plans.push_back(plans[idx].ToString());
+  }
+  reference.chosen = BestInPareto(reference.front, policy).ValueOrDie();
+  return reference;
+}
+
+void ExpectMatchesReplay(const MoqpResult& result, const Reference& reference,
+                         const std::string& label) {
+  EXPECT_EQ(result.candidates_examined, reference.candidates) << label;
+  EXPECT_EQ(result.pareto_costs, reference.front) << label;
+  EXPECT_EQ(result.chosen, reference.chosen) << label;
+  ASSERT_EQ(result.pareto_plans.size(), reference.plans.size()) << label;
+  for (size_t i = 0; i < reference.plans.size(); ++i) {
+    EXPECT_EQ(result.pareto_plans[i].ToString(), reference.plans[i])
         << label << " plan " << i;
   }
-  EXPECT_EQ(served.predicted, reference.chosen_costs()) << label;
-  EXPECT_EQ(served.moqp.snapshot_epoch, reference.snapshot_epoch) << label;
 }
 
 TEST(ServingPathEquivalenceTest, OptimizeQueryMatchesPerPlanPredictor) {
@@ -91,43 +128,41 @@ TEST(ServingPathEquivalenceTest, OptimizeQueryMatchesPerPlanPredictor) {
   const std::string scope = "s";
   for (const Config& config : configs) {
     for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-      for (bool cache : {false, true}) {
-        MidasSystem system = MakeSystem(config, shards, cache);
-        ASSERT_TRUE(system.Bootstrap(scope, query, 20).ok());
-        // The reference: the per-plan pipeline with the same options and
-        // its own prediction cache.
-        const MultiObjectiveOptimizer reference(
-            &system.federation(), &system.catalog(), system.options().moqp);
-        const uint64_t cache_namespace = std::hash<std::string>{}(scope);
-        for (int round = 0; round < 3; ++round) {
-          const auto snapshot = system.modelling().Snapshot();
-          const auto per_plan =
-              [&](const QueryPlan& plan) -> StatusOr<Vector> {
-            MIDAS_ASSIGN_OR_RETURN(Vector features,
-                                   ExtractFeatures(system.federation(), plan));
-            return system.modelling().Predict(*snapshot, scope, features,
-                                              system.options().estimator);
-          };
-          const std::vector<QueryPolicy> policies = Policies();
-          for (size_t p = 0; p < policies.size(); ++p) {
-            const std::string label =
-                std::string(config.three_clouds ? "three-cloud" : "paper") +
-                " shards=" + std::to_string(shards) +
-                " cache=" + std::to_string(cache) +
-                " round=" + std::to_string(round) +
-                " policy=" + std::to_string(p);
-            auto served = system.OptimizeQuery(
-                snapshot, QueryRequest{scope, query, policies[p]});
-            ASSERT_TRUE(served.ok()) << label << served.status().ToString();
-            auto expected =
-                reference.Optimize(query, per_plan, policies[p],
-                                   snapshot->epoch(), cache_namespace);
-            ASSERT_TRUE(expected.ok()) << label;
-            ExpectSameOutcome(*served, *expected, label);
-          }
-          // Grow the history so the next round fits another window.
-          ASSERT_TRUE(system.RunQuery(scope, query, policies[round]).ok());
+      MidasSystem system = MakeSystem(config, shards);
+      ASSERT_TRUE(system.Bootstrap(scope, query, 20).ok());
+      const MultiObjectiveOptimizer per_plan_optimizer(
+          &system.federation(), &system.catalog(), system.options().moqp);
+      for (int round = 0; round < 3; ++round) {
+        const auto snapshot = system.modelling().Snapshot();
+        const auto per_plan = [&](const QueryPlan& plan) -> StatusOr<Vector> {
+          MIDAS_ASSIGN_OR_RETURN(Vector features,
+                                 ExtractFeatures(system.federation(), plan));
+          return system.modelling().Predict(*snapshot, scope, features,
+                                            system.options().estimator);
+        };
+        const std::vector<QueryPolicy> policies = Policies();
+        for (size_t p = 0; p < policies.size(); ++p) {
+          const std::string label =
+              std::string(config.three_clouds ? "three-cloud" : "paper") +
+              " shards=" + std::to_string(shards) +
+              " round=" + std::to_string(round) +
+              " policy=" + std::to_string(p);
+          const Reference reference =
+              Replay(system, *snapshot, scope, query, policies[p]);
+          auto served = system.OptimizeQuery(
+              snapshot, QueryRequest{scope, query, policies[p]});
+          ASSERT_TRUE(served.ok()) << label << served.status().ToString();
+          ExpectMatchesReplay(served->moqp, reference, label);
+          EXPECT_EQ(served->predicted, reference.front[reference.chosen])
+              << label;
+          EXPECT_EQ(served->moqp.snapshot_epoch, snapshot->epoch()) << label;
+          auto optimized =
+              per_plan_optimizer.Optimize(query, per_plan, policies[p]);
+          ASSERT_TRUE(optimized.ok()) << label;
+          ExpectMatchesReplay(*optimized, reference, label + " per-plan");
         }
+        // Grow the history so the next round fits another window.
+        ASSERT_TRUE(system.RunQuery(scope, query, policies[round]).ok());
       }
     }
   }

@@ -1,9 +1,9 @@
-// Sharded == serial equivalence: the sharded OptimizeStreaming pipeline
-// (partitioned enumeration -> per-shard costing and Pareto folding ->
-// tree merge -> sequence restore) must be bit-identical to the
-// single-stream path and the materialized batched path at every shard
-// count, chunk size and cache setting — plus a ThreadSanitizer-visible
-// stress that builds and merges shard archives concurrently.
+// Sharded == serial equivalence: the sharded candidate-stream pipeline
+// (partitioned enumeration -> per-shard costing and Pareto folding or
+// cost tabulation -> tree merge -> sequence restore) must be bit-identical
+// to the single stream at every shard count and chunk size, for every
+// algorithm — plus a ThreadSanitizer-visible stress that builds and merges
+// shard archives concurrently.
 
 #include <string>
 #include <vector>
@@ -14,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "ires/moo_optimizer.h"
 #include "optimizer/pareto_archive.h"
+#include "support/moqp_testing.h"
 
 namespace midas {
 namespace {
@@ -68,8 +69,7 @@ QueryPlan LogicalJoin() {
 }
 
 // Pure function of the feature rows with alternating-sign weights, so the
-// front is a genuine time/money trade-off: thread-safe and sound to
-// cache.
+// front is a genuine time/money trade-off; thread-safe.
 MultiObjectiveOptimizer::BatchCostPredictor LinearPredictor() {
   return [](const Matrix& features, Matrix* costs) -> Status {
     *costs = Matrix(features.rows(), 2, 0.0);
@@ -88,80 +88,48 @@ MultiObjectiveOptimizer::BatchCostPredictor LinearPredictor() {
   };
 }
 
-void ExpectSameResult(const MoqpResult& a, const MoqpResult& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.candidates_examined, b.candidates_examined) << label;
-  EXPECT_EQ(a.pareto_costs, b.pareto_costs) << label;
-  EXPECT_EQ(a.chosen, b.chosen) << label;
-  ASSERT_EQ(a.pareto_plans.size(), b.pareto_plans.size()) << label;
-  for (size_t i = 0; i < a.pareto_plans.size(); ++i) {
-    EXPECT_EQ(a.pareto_plans[i].ToString(), b.pareto_plans[i].ToString())
-        << label << " plan " << i;
-  }
-}
-
 TEST(ShardEquivalenceTest, ShardedStreamingMatchesSerialStreaming) {
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
   const auto predictor = LinearPredictor();
 
-  MoqpOptions serial_options;
-  MultiObjectiveOptimizer serial(&env.federation, &env.catalog,
-                                 serial_options);
-  auto materialized = serial.Optimize(LogicalJoin(), predictor, policy);
-  ASSERT_TRUE(materialized.ok());
-  auto baseline = serial.OptimizeStreaming(LogicalJoin(), predictor, policy);
+  MultiObjectiveOptimizer serial(&env.federation, &env.catalog);
+  auto baseline = serial.Optimize(LogicalJoin(), predictor, policy);
   ASSERT_TRUE(baseline.ok());
-  ExpectSameResult(*materialized, *baseline, "streaming baseline");
   EXPECT_TRUE(baseline->shard_stats.empty());
 
   for (size_t shards : {size_t{2}, size_t{3}, size_t{8}}) {
     for (size_t chunk : {size_t{1}, size_t{7}, size_t{1024}}) {
-      for (bool cache : {false, true}) {
-        MoqpOptions options;
-        options.shards = shards;
-        options.stream_chunk_size = chunk;
-        options.batch_size = 16;
-        options.cache_predictions = cache;
-        MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
-                                          options);
-        const std::string label = "shards=" + std::to_string(shards) +
-                                  " chunk=" + std::to_string(chunk) +
-                                  " cache=" + std::to_string(cache);
-        // Repeated runs must agree too: scheduling order may shift the
-        // cache hit/miss split but never the result.
-        for (int rep = 0; rep < 2; ++rep) {
-          auto result =
-              optimizer.OptimizeStreaming(LogicalJoin(), predictor, policy);
-          ASSERT_TRUE(result.ok()) << label;
-          ExpectSameResult(*baseline, *result, label);
+      MoqpOptions options;
+      options.shards = shards;
+      options.stream_chunk_size = chunk;
+      MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
+                                        options);
+      const std::string label = "shards=" + std::to_string(shards) +
+                                " chunk=" + std::to_string(chunk);
+      // Repeated runs must agree too: scheduling order never reaches the
+      // result.
+      for (int rep = 0; rep < 2; ++rep) {
+        auto result = optimizer.Optimize(LogicalJoin(), predictor, policy);
+        ASSERT_TRUE(result.ok()) << label;
+        ExpectSameResult(*baseline, *result, label);
 
-          // Per-shard stats: one row per shard, examined sums to the
-          // total, peaks sum to the aggregate, and the fronts cannot be
-          // larger than the shard's own candidate slice.
-          ASSERT_EQ(result->shard_stats.size(), shards) << label;
-          uint64_t examined = 0;
-          size_t peak = 0;
-          for (size_t s = 0; s < result->shard_stats.size(); ++s) {
-            const MoqpShardStats& stats = result->shard_stats[s];
-            EXPECT_EQ(stats.shard, s) << label;
-            examined += stats.candidates_examined;
-            peak += stats.peak_resident_candidates;
-            EXPECT_LE(stats.front_size, stats.candidates_examined) << label;
-          }
-          EXPECT_EQ(examined, result->candidates_examined) << label;
-          EXPECT_EQ(peak, result->peak_resident_candidates) << label;
-
-          // The aggregated counters keep the per-pipeline invariants.
-          if (cache) {
-            EXPECT_EQ(result->predictor_calls, result->cache_misses) << label;
-          } else {
-            EXPECT_EQ(result->predictor_calls, result->candidates_examined)
-                << label;
-            EXPECT_EQ(result->cache_hits + result->cache_misses, 0u) << label;
-          }
+        // Per-shard stats: one row per shard, examined sums to the total,
+        // peaks sum to the aggregate, and the fronts cannot be larger than
+        // the shard's own candidate slice.
+        ASSERT_EQ(result->shard_stats.size(), shards) << label;
+        uint64_t examined = 0;
+        size_t peak = 0;
+        for (size_t s = 0; s < result->shard_stats.size(); ++s) {
+          const MoqpShardStats& stats = result->shard_stats[s];
+          EXPECT_EQ(stats.shard, s) << label;
+          examined += stats.candidates_examined;
+          peak += stats.peak_resident_candidates;
+          EXPECT_LE(stats.front_size, stats.candidates_examined) << label;
         }
+        EXPECT_EQ(examined, result->candidates_examined) << label;
+        EXPECT_EQ(peak, result->peak_resident_candidates) << label;
       }
     }
   }
@@ -180,41 +148,61 @@ TEST(ShardEquivalenceTest, DefaultShardCountAndCapBehaveLikeSerial) {
     serial_options.enumerator.max_plans = max_plans;
     MultiObjectiveOptimizer serial(&env.federation, &env.catalog,
                                    serial_options);
-    auto baseline =
-        serial.OptimizeStreaming(LogicalJoin(), predictor, policy);
+    auto baseline = serial.Optimize(LogicalJoin(), predictor, policy);
     ASSERT_TRUE(baseline.ok());
 
     MoqpOptions options;
     options.enumerator.max_plans = max_plans;
     options.shards = 0;
     MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog, options);
-    auto result =
-        optimizer.OptimizeStreaming(LogicalJoin(), predictor, policy);
+    auto result = optimizer.Optimize(LogicalJoin(), predictor, policy);
     const std::string label = "max_plans=" + std::to_string(max_plans);
     ASSERT_TRUE(result.ok()) << label;
     ExpectSameResult(*baseline, *result, label);
   }
 }
 
-TEST(ShardEquivalenceTest, NonStreamingAlgorithmsIgnoreShards) {
+TEST(ShardEquivalenceTest, WsmAndNsgaIdenticalAtEveryShardCount) {
+  // kWsm and the NSGA variants select over the whole sequence-indexed cost
+  // table, which every shard count fills identically.
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
   const auto predictor = LinearPredictor();
 
-  MoqpOptions wsm_serial;
-  wsm_serial.algorithm = MoqpAlgorithm::kWsm;
-  MultiObjectiveOptimizer serial(&env.federation, &env.catalog, wsm_serial);
-  auto baseline = serial.Optimize(LogicalJoin(), predictor, policy);
-  ASSERT_TRUE(baseline.ok());
+  for (MoqpAlgorithm algorithm :
+       {MoqpAlgorithm::kWsm, MoqpAlgorithm::kNsga2, MoqpAlgorithm::kNsgaG}) {
+    MoqpOptions serial_options;
+    serial_options.algorithm = algorithm;
+    serial_options.nsga2.population_size = 20;
+    serial_options.nsga2.generations = 10;
+    serial_options.nsga_g.population_size = 20;
+    serial_options.nsga_g.generations = 10;
+    MultiObjectiveOptimizer serial(&env.federation, &env.catalog,
+                                   serial_options);
+    auto baseline = serial.Optimize(LogicalJoin(), predictor, policy);
+    ASSERT_TRUE(baseline.ok()) << MoqpAlgorithmName(algorithm);
+    // The table holds every candidate.
+    EXPECT_EQ(baseline->peak_resident_candidates,
+              baseline->candidates_examined);
 
-  MoqpOptions wsm_sharded = wsm_serial;
-  wsm_sharded.shards = 8;
-  MultiObjectiveOptimizer sharded(&env.federation, &env.catalog, wsm_sharded);
-  auto result = sharded.OptimizeStreaming(LogicalJoin(), predictor, policy);
-  ASSERT_TRUE(result.ok());
-  ExpectSameResult(*baseline, *result, "wsm fallback");
-  EXPECT_TRUE(result->shard_stats.empty());
+    for (size_t shards : {size_t{2}, size_t{3}, size_t{8}}) {
+      MoqpOptions options = serial_options;
+      options.shards = shards;
+      options.stream_chunk_size = 7;
+      MultiObjectiveOptimizer sharded(&env.federation, &env.catalog,
+                                      options);
+      auto result = sharded.Optimize(LogicalJoin(), predictor, policy);
+      const std::string label =
+          MoqpAlgorithmName(algorithm) + " shards=" + std::to_string(shards);
+      ASSERT_TRUE(result.ok()) << label;
+      ExpectSameResult(*baseline, *result, label);
+      EXPECT_EQ(result->peak_resident_candidates,
+                result->candidates_examined)
+          << label;
+      EXPECT_EQ(result->shard_stats.size(), shards) << label;
+    }
+  }
 }
 
 // ThreadSanitizer stress for the merge machinery itself: shard archives

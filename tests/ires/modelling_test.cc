@@ -40,7 +40,8 @@ TEST(ModellingTest, BaseWindowIsLPlusTwo) {
 TEST(ModellingTest, DreamPredictsLinearCosts) {
   Modelling modelling({"x"}, {"time", "money"});
   FillLinear(&modelling, "q", 20);
-  auto pred = modelling.Predict("q", {4.0}, EstimatorConfig::DreamDefault());
+  auto pred = modelling.Predict(*modelling.Snapshot(), "q", {4.0},
+                                EstimatorConfig::DreamDefault());
   ASSERT_TRUE(pred.ok());
   EXPECT_NEAR((*pred)[0], 13.0, 0.1);
   EXPECT_NEAR((*pred)[1], 0.14, 0.01);
@@ -49,37 +50,55 @@ TEST(ModellingTest, DreamPredictsLinearCosts) {
 TEST(ModellingTest, BmlPredictsLinearCosts) {
   Modelling modelling({"x"}, {"time", "money"});
   FillLinear(&modelling, "q", 20);
+  const auto snapshot = modelling.Snapshot();
   for (WindowPolicy policy :
        {WindowPolicy::kLastN, WindowPolicy::kLast2N, WindowPolicy::kLast3N,
         WindowPolicy::kAll}) {
-    auto pred = modelling.Predict("q", {4.0}, EstimatorConfig::Bml(policy));
+    auto pred =
+        modelling.Predict(*snapshot, "q", {4.0}, EstimatorConfig::Bml(policy));
     ASSERT_TRUE(pred.ok()) << WindowPolicyName(policy);
     EXPECT_NEAR((*pred)[0], 13.0, 3.0) << WindowPolicyName(policy);
   }
 }
 
 TEST(ModellingTest, PredictUnknownScopeFails) {
-  Modelling modelling({"x"}, {"time"});
-  EXPECT_FALSE(
-      modelling.Predict("nope", {1.0}, EstimatorConfig::DreamDefault()).ok());
+  Modelling modelling({"x"}, {"time", "money"});
+  FillLinear(&modelling, "q", 10);
+  const auto snapshot = modelling.Snapshot();
+  for (const EstimatorConfig& config :
+       {EstimatorConfig::DreamDefault(),
+        EstimatorConfig::Bml(WindowPolicy::kLastN)}) {
+    EXPECT_EQ(modelling.Predict(*snapshot, "nope", {1.0}, config)
+                  .status()
+                  .code(),
+              StatusCode::kNotFound)
+        << EstimatorName(config);
+  }
 }
 
 TEST(ModellingTest, PredictArityMismatchFails) {
   Modelling modelling({"x"}, {"time", "money"});
   FillLinear(&modelling, "q", 10);
-  EXPECT_FALSE(
-      modelling.Predict("q", {1.0, 2.0}, EstimatorConfig::DreamDefault())
-          .ok());
+  EXPECT_EQ(modelling
+                .Predict(*modelling.Snapshot(), "q", {1.0, 2.0},
+                         EstimatorConfig::DreamDefault())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ModellingTest, TooLittleHistoryFails) {
   Modelling modelling({"x"}, {"time", "money"});
   FillLinear(&modelling, "q", 2);  // below N = 3
-  EXPECT_FALSE(
-      modelling.Predict("q", {1.0}, EstimatorConfig::DreamDefault()).ok());
-  EXPECT_FALSE(
-      modelling.Predict("q", {1.0}, EstimatorConfig::Bml(WindowPolicy::kLastN))
-          .ok());
+  const auto snapshot = modelling.Snapshot();
+  EXPECT_FALSE(modelling
+                   .Predict(*snapshot, "q", {1.0},
+                            EstimatorConfig::DreamDefault())
+                   .ok());
+  EXPECT_FALSE(modelling
+                   .Predict(*snapshot, "q", {1.0},
+                            EstimatorConfig::Bml(WindowPolicy::kLastN))
+                   .ok());
 }
 
 TEST(ModellingTest, PredictionsAreNonNegative) {
@@ -95,8 +114,8 @@ TEST(ModellingTest, PredictionsAreNonNegative) {
     obs.costs = {1.0 - 5.0 * x < 0 ? 0.0 : 1.0 - 5.0 * x};
     modelling.Record("q", std::move(obs)).CheckOK();
   }
-  auto pred =
-      modelling.Predict("q", {10.0}, EstimatorConfig::DreamDefault());
+  auto pred = modelling.Predict(*modelling.Snapshot(), "q", {10.0},
+                                EstimatorConfig::DreamDefault());
   ASSERT_TRUE(pred.ok());
   EXPECT_GE((*pred)[0], 0.0);
 }
@@ -104,7 +123,8 @@ TEST(ModellingTest, PredictionsAreNonNegative) {
 TEST(ModellingTest, DreamDiagnosticsReportWindow) {
   Modelling modelling({"x"}, {"time", "money"});
   FillLinear(&modelling, "q", 30);
-  auto diag = modelling.DreamDiagnostics("q", DreamOptions());
+  auto diag =
+      modelling.DreamDiagnostics(*modelling.Snapshot(), "q", DreamOptions());
   ASSERT_TRUE(diag.ok());
   EXPECT_GE(diag->window_size, 3u);
   EXPECT_LE(diag->window_size, 30u);
@@ -126,7 +146,8 @@ TEST(ModellingTest, DreamRespectsMmaxThroughConfig) {
   EstimatorConfig config = EstimatorConfig::DreamDefault();
   config.dream.r2_require = 0.999;
   config.dream.m_max = 6;
-  auto diag = modelling.DreamDiagnostics("q", config.dream);
+  auto diag =
+      modelling.DreamDiagnostics(*modelling.Snapshot(), "q", config.dream);
   ASSERT_TRUE(diag.ok());
   EXPECT_LE(diag->window_size, 6u);
 }
@@ -150,14 +171,15 @@ TEST(ModellingTest, PredictBatchMatchesScalarForAllEstimators) {
   std::vector<EstimatorConfig> configs = {
       EstimatorConfig::DreamDefault(), EstimatorConfig::Bml(WindowPolicy::kLastN),
       EstimatorConfig::Bml(WindowPolicy::kAll)};
+  const auto snapshot = modelling.Snapshot();
   for (const EstimatorConfig& config : configs) {
-    auto batch = modelling.PredictBatch("q", x, config);
+    auto batch = modelling.PredictBatch(*snapshot, "q", x, config);
     ASSERT_TRUE(batch.ok()) << EstimatorName(config);
     ASSERT_EQ(batch->rows(), queries.size()) << EstimatorName(config);
     ASSERT_EQ(batch->cols(), 2u) << EstimatorName(config);
     for (size_t i = 0; i < queries.size(); ++i) {
       const Vector scalar =
-          modelling.Predict("q", queries[i], config).ValueOrDie();
+          modelling.Predict(*snapshot, "q", queries[i], config).ValueOrDie();
       for (size_t k = 0; k < scalar.size(); ++k) {
         SCOPED_TRACE(std::string(EstimatorName(config)) + " row " +
                      std::to_string(i) + " metric " + std::to_string(k));
@@ -174,17 +196,19 @@ TEST(ModellingTest, PredictBatchMatchesScalarForAllEstimators) {
 
 TEST(ModellingTest, PredictBatchErrorPaths) {
   Modelling modelling({"x"}, {"time", "money"});
-  EXPECT_FALSE(
-      modelling.PredictBatch("nope", Matrix({{1.0}}),
-                             EstimatorConfig::DreamDefault())
-          .ok());
-  FillLinear(&modelling, "q", 10);
   EXPECT_FALSE(modelling
-                   .PredictBatch("q", Matrix({{1.0, 2.0}}),
+                   .PredictBatch(*modelling.Snapshot(), "nope",
+                                 Matrix({{1.0}}),
+                                 EstimatorConfig::DreamDefault())
+                   .ok());
+  FillLinear(&modelling, "q", 10);
+  const auto snapshot = modelling.Snapshot();
+  EXPECT_FALSE(modelling
+                   .PredictBatch(*snapshot, "q", Matrix({{1.0, 2.0}}),
                                  EstimatorConfig::DreamDefault())
                    .ok());
   EXPECT_FALSE(modelling
-                   .PredictBatch("q", Matrix({{1.0, 2.0}}),
+                   .PredictBatch(*snapshot, "q", Matrix({{1.0, 2.0}}),
                                  EstimatorConfig::Bml(WindowPolicy::kLastN))
                    .ok());
 }

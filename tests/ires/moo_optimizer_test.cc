@@ -1,13 +1,16 @@
 #include "ires/moo_optimizer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "engine/simulator.h"
+#include "ires/features.h"
 #include "optimizer/pareto.h"
+#include "support/moqp_testing.h"
 
 namespace midas {
 namespace {
@@ -80,22 +83,36 @@ SimulatorOptions Deterministic() {
   return options;
 }
 
-// Synthetic linear batch predictor: a pure, thread-safe function of the
-// feature rows, as the batched/streaming pipelines require.
+// Synthetic linear costs of one feature row: a pure, thread-safe function
+// of the features, shared by both predictor kinds so their results must
+// agree bit for bit.
+Vector LinearCosts(const double* features, size_t n) {
+  double time = 1.0;
+  double money = 0.1;
+  for (size_t c = 0; c < n; ++c) {
+    time += (0.3 + 0.05 * c) * features[c];
+    money += 0.01 * features[c];
+  }
+  return {time, money};
+}
+
 MultiObjectiveOptimizer::BatchCostPredictor LinearBatchPredictor() {
   return [](const Matrix& features, Matrix* costs) -> Status {
     *costs = Matrix(features.rows(), 2, 0.0);
     for (size_t r = 0; r < features.rows(); ++r) {
-      double time = 1.0;
-      double money = 0.1;
-      for (size_t c = 0; c < features.cols(); ++c) {
-        time += (0.3 + 0.05 * c) * features(r, c);
-        money += 0.01 * features(r, c);
-      }
-      (*costs)(r, 0) = time;
-      (*costs)(r, 1) = money;
+      costs->SetRow(r, LinearCosts(features.RowData(r), features.cols()));
     }
     return Status::OK();
+  };
+}
+
+// The same costs through the plan: every candidate's plan is materialized
+// and featurized.
+MultiObjectiveOptimizer::CostPredictor LinearPlanPredictor(
+    const Federation* federation) {
+  return [federation](const QueryPlan& plan) -> StatusOr<Vector> {
+    MIDAS_ASSIGN_OR_RETURN(Vector x, ExtractFeatures(*federation, plan));
+    return LinearCosts(x.data(), x.size());
   };
 }
 
@@ -230,14 +247,17 @@ TEST(MoqpTest, ConstraintsRouteThroughBestInPareto) {
 }
 
 TEST(MoqpTest, StreamingMatchesMaterializedAcrossChunkSizes) {
+  // The feature-row pipeline never builds a candidate's plan; the per-plan
+  // pipeline materializes every one. Same costs, so the same result at
+  // every chunk size.
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
   MultiObjectiveOptimizer baseline_opt(&env.federation, &env.catalog);
-  auto baseline =
-      baseline_opt.Optimize(LogicalJoin(), LinearBatchPredictor(), policy);
+  auto baseline = baseline_opt.Optimize(
+      LogicalJoin(), LinearPlanPredictor(&env.federation), policy);
   ASSERT_TRUE(baseline.ok());
-  // The materialized path holds the whole candidate set at once.
+  // One default-sized chunk holds the whole (small) candidate set.
   EXPECT_EQ(baseline->peak_resident_candidates,
             baseline->candidates_examined);
 
@@ -247,21 +267,10 @@ TEST(MoqpTest, StreamingMatchesMaterializedAcrossChunkSizes) {
     options.stream_chunk_size = chunk;
     MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
                                       options);
-    auto streamed = optimizer.OptimizeStreaming(
-        LogicalJoin(), LinearBatchPredictor(), policy);
+    auto streamed =
+        optimizer.Optimize(LogicalJoin(), LinearBatchPredictor(), policy);
     ASSERT_TRUE(streamed.ok()) << "chunk=" << chunk;
-    EXPECT_EQ(streamed->pareto_costs, baseline->pareto_costs)
-        << "chunk=" << chunk;
-    EXPECT_EQ(streamed->chosen, baseline->chosen) << "chunk=" << chunk;
-    EXPECT_EQ(streamed->candidates_examined, baseline->candidates_examined)
-        << "chunk=" << chunk;
-    ASSERT_EQ(streamed->pareto_plans.size(), baseline->pareto_plans.size())
-        << "chunk=" << chunk;
-    for (size_t i = 0; i < streamed->pareto_plans.size(); ++i) {
-      EXPECT_EQ(streamed->pareto_plans[i].ToString(),
-                baseline->pareto_plans[i].ToString())
-          << "chunk=" << chunk << " plan " << i;
-    }
+    ExpectSameResult(*baseline, *streamed, "chunk=" + std::to_string(chunk));
     EXPECT_LE(streamed->peak_resident_candidates,
               baseline->peak_resident_candidates)
         << "chunk=" << chunk;
@@ -273,36 +282,51 @@ TEST(MoqpTest, StreamingMatchesMaterializedAcrossChunkSizes) {
   }
 }
 
-TEST(MoqpTest, StreamingFallsBackForNonStreamableAlgorithms) {
-  // kWsm normalises over the full candidate set and the NSGA variants
-  // evolve over the full cost table, so OptimizeStreaming must delegate
-  // to the materialized path and return its exact result.
+TEST(MoqpTest, BadPolicyRejectedBeforeAnyPredictorCall) {
+  // Policies arrive from service clients. NaN fails every comparison and
+  // +Inf passes the sign checks, so both must be rejected explicitly, and
+  // before the plan space is costed.
   Environment env = MakeEnvironment();
-  QueryPolicy policy;
-  policy.weights = {0.5, 0.5};
-  for (MoqpAlgorithm algorithm :
-       {MoqpAlgorithm::kWsm, MoqpAlgorithm::kNsga2}) {
-    MoqpOptions options;
-    options.algorithm = algorithm;
-    options.nsga2.population_size = 20;
-    options.nsga2.generations = 10;
-    MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
-                                      options);
-    auto materialized =
-        optimizer.Optimize(LogicalJoin(), LinearBatchPredictor(), policy);
-    auto streamed = optimizer.OptimizeStreaming(
-        LogicalJoin(), LinearBatchPredictor(), policy);
-    ASSERT_TRUE(materialized.ok()) << MoqpAlgorithmName(algorithm);
-    ASSERT_TRUE(streamed.ok()) << MoqpAlgorithmName(algorithm);
-    EXPECT_EQ(streamed->pareto_costs, materialized->pareto_costs)
-        << MoqpAlgorithmName(algorithm);
-    EXPECT_EQ(streamed->chosen, materialized->chosen)
-        << MoqpAlgorithmName(algorithm);
-    // The fallback materialises the full candidate set.
-    EXPECT_EQ(streamed->peak_resident_candidates,
-              streamed->candidates_examined)
-        << MoqpAlgorithmName(algorithm);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<QueryPolicy> bad(5);
+  bad[0].weights = {0.5, nan};
+  bad[1].weights = {inf, 1.0};
+  bad[2].weights = {0.0, 0.0};
+  bad[3].weights = {0.5, 0.5};
+  bad[3].constraints = {nan};
+  bad[4].weights = {0.5, 0.5};
+  bad[4].constraints = {1e9, 1e9, 1e9};
+  std::atomic<size_t> calls{0};
+  const auto per_plan = [&calls](const QueryPlan&) -> StatusOr<Vector> {
+    calls.fetch_add(1);
+    return Vector{1.0, 1.0};
+  };
+  const MultiObjectiveOptimizer::BatchCostPredictor batch =
+      [&calls](const Matrix& features, Matrix* costs) -> Status {
+    calls.fetch_add(1);
+    *costs = Matrix(features.rows(), 2, 1.0);
+    return Status::OK();
+  };
+  MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog);
+  for (size_t p = 0; p < bad.size(); ++p) {
+    EXPECT_EQ(optimizer.Optimize(LogicalJoin(), per_plan, bad[p])
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "policy " << p;
+    EXPECT_EQ(
+        optimizer.Optimize(LogicalJoin(), batch, bad[p]).status().code(),
+        StatusCode::kInvalidArgument)
+        << "policy " << p;
   }
+  EXPECT_EQ(calls.load(), 0u);
+
+  // An infinite constraint is a valid "no limit".
+  QueryPolicy unbounded;
+  unbounded.weights = {0.5, 0.5};
+  unbounded.constraints = {inf, inf};
+  EXPECT_TRUE(optimizer.Optimize(LogicalJoin(), batch, unbounded).ok());
 }
 
 TEST(MoqpTest, NullPredictorRejected) {
@@ -321,12 +345,6 @@ TEST(MoqpTest, NullPredictorRejected) {
                     MultiObjectiveOptimizer::BatchCostPredictor(nullptr),
                     policy)
           .ok());
-  EXPECT_FALSE(
-      optimizer
-          .OptimizeStreaming(
-              LogicalJoin(),
-              MultiObjectiveOptimizer::BatchCostPredictor(nullptr), policy)
-          .ok());
 }
 
 TEST(MoqpTest, PredictorArityMismatchRejected) {
@@ -341,9 +359,9 @@ TEST(MoqpTest, PredictorArityMismatchRejected) {
 }
 
 TEST(MoqpTest, NonFinitePredictedCostsFailClosed) {
-  // A NaN cost is never dominated, so it would sit on every front; every
-  // costing stage rejects it (and infinities) instead, with or without the
-  // prediction cache.
+  // A NaN cost is never dominated, so it would sit on every front; both
+  // predictor kinds reject it (and infinities) instead, under every
+  // algorithm.
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
@@ -358,9 +376,10 @@ TEST(MoqpTest, NonFinitePredictedCostsFailClosed) {
       (*costs)(features.rows() - 1, 0) = bad;
       return Status::OK();
     };
-    for (bool cache : {false, true}) {
+    for (MoqpAlgorithm algorithm :
+         {MoqpAlgorithm::kExhaustivePareto, MoqpAlgorithm::kWsm}) {
       MoqpOptions options;
-      options.cache_predictions = cache;
+      options.algorithm = algorithm;
       MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
                                         options);
       EXPECT_EQ(optimizer.Optimize(LogicalJoin(), per_plan, policy)
@@ -370,10 +389,6 @@ TEST(MoqpTest, NonFinitePredictedCostsFailClosed) {
       EXPECT_EQ(
           optimizer.Optimize(LogicalJoin(), batch, policy).status().code(),
           StatusCode::kFailedPrecondition);
-      EXPECT_EQ(optimizer.OptimizeStreaming(LogicalJoin(), batch, policy)
-                    .status()
-                    .code(),
-                StatusCode::kFailedPrecondition);
     }
   }
 }

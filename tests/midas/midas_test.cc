@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "ires/features.h"
 #include "midas/medical.h"
 #include "query/enumerator.h"
 
@@ -158,21 +159,29 @@ TEST(MidasSystemTest, BmlEstimatorConfigurable) {
   EXPECT_EQ(outcome->estimator, "BML_2N");
 }
 
-TEST(MidasSystemTest, PredictPlanCostsMatchesMetricLayout) {
+TEST(MidasSystemTest, ChosenPlanPredictionMatchesSnapshotPredict) {
+  // OptimizeQuery's predicted costs are the pinned snapshot's prediction
+  // for the chosen plan, in metric order, and carry the snapshot's epoch.
   MidasSystem system = MakeSystem();
   QueryPlan query = MakeExample21Query().ValueOrDie();
   ASSERT_TRUE(system.Bootstrap("scope", query, 16).ok());
-  // Grab an annotated plan via a fresh enumeration inside RunQuery's path:
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
-  auto outcome = system.RunQuery("scope", query, policy);
+  const auto snapshot = system.modelling().Snapshot();
+  auto outcome =
+      system.OptimizeQuery(snapshot, QueryRequest{"scope", query, policy});
   ASSERT_TRUE(outcome.ok());
-  auto costs =
-      system.PredictPlanCosts("scope", outcome->moqp.chosen_plan());
+  EXPECT_EQ(outcome->moqp.snapshot_epoch, snapshot->epoch());
+  const Vector features =
+      ExtractFeatures(system.federation(), outcome->moqp.chosen_plan())
+          .ValueOrDie();
+  auto costs = system.modelling().Predict(*snapshot, "scope", features,
+                                          system.options().estimator);
   ASSERT_TRUE(costs.ok());
-  EXPECT_EQ(costs->size(), 2u);
+  ASSERT_EQ(costs->size(), 2u);
   EXPECT_GE((*costs)[0], 0.0);
   EXPECT_GE((*costs)[1], 0.0);
+  EXPECT_EQ(*costs, outcome->predicted);
 }
 
 TEST(MidasSystemTest, PredictionTracksActualWithinFactor) {

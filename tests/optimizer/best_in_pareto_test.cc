@@ -1,5 +1,7 @@
 #include "optimizer/best_in_pareto.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace midas {
@@ -72,6 +74,35 @@ TEST(BestInParetoTest, RejectsTooManyConstraints) {
   policy.weights = {1.0, 1.0};
   policy.constraints = {1.0, 1.0, 1.0};
   EXPECT_FALSE(BestInPareto(kPareto, policy).ok());
+}
+
+TEST(BestInParetoTest, RejectsNonFiniteWeightsAndNanConstraints) {
+  // On {(10, 1), (5, 2), (1, 9)} an infinite weight picked the slowest
+  // plan, and a NaN constraint excluded nothing (cost > NaN is false).
+  const std::vector<Vector> front = {{10, 1}, {5, 2}, {1, 9}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  QueryPolicy infinite_weight;
+  infinite_weight.weights = {inf, 1.0};
+  EXPECT_EQ(BestInPareto(front, infinite_weight).status().code(),
+            StatusCode::kInvalidArgument);
+  QueryPolicy nan_weight;
+  nan_weight.weights = {1.0, nan};
+  EXPECT_EQ(BestInPareto(front, nan_weight).status().code(),
+            StatusCode::kInvalidArgument);
+  QueryPolicy nan_constraint;
+  nan_constraint.weights = {0.5, 0.5};
+  nan_constraint.constraints = {nan, 5.0};
+  EXPECT_EQ(BestInPareto(front, nan_constraint).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidatePolicy(nan_constraint).code(),
+            StatusCode::kInvalidArgument);
+  // An infinite constraint means "no limit" and stays valid.
+  QueryPolicy unbounded;
+  unbounded.weights = {1.0, 0.0};
+  unbounded.constraints = {inf, inf};
+  ASSERT_TRUE(ValidatePolicy(unbounded).ok());
+  EXPECT_EQ(BestInPareto(front, unbounded).ValueOrDie(), 2u);
 }
 
 TEST(BestInParetoTest, RejectsRaggedCosts) {

@@ -1,5 +1,7 @@
 #include "optimizer/wsm.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace midas {
@@ -51,6 +53,20 @@ TEST(WsmSelectTest, RejectsEmptyAndRagged) {
   EXPECT_FALSE(WsmSelect({}, {1.0}).ok());
   EXPECT_FALSE(WsmSelect({{1, 2}, {1}}, {0.5, 0.5}).ok());
   EXPECT_FALSE(WsmSelect({{1, 2}}, {0.5}).ok());
+}
+
+TEST(WsmSelectTest, RejectsNonFiniteWeights) {
+  // NaN fails both the sign and the sum check, and +Inf passes both: each
+  // would otherwise pick the slowest plan here without an error.
+  const std::vector<Vector> costs = {{10, 1}, {5, 2}, {1, 9}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Vector& weights : {Vector{1.0, nan}, Vector{inf, 1.0},
+                                Vector{-inf, 1.0}}) {
+    EXPECT_EQ(WsmSelect(costs, weights).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(ValidateWeights(weights).code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(WsmGeneticOptimizerTest, FindsWeightedOptimumOnSchaffer) {
