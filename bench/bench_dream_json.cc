@@ -2,7 +2,8 @@
 // engines — kBatch (refits every window from scratch with FitOls, the seed
 // implementation, kept as the reference) and kIncremental (one QR factor
 // per estimate, grown by Givens rotations, fitted by a pivoted QR of that
-// factor) — on two series, and emits BENCH_dream.json so the perf
+// factor only where an R² upper bound admits R²_require, plus the returned
+// window) — on two series, and emits BENCH_dream.json so the perf
 // trajectory can be tracked across PRs. Run via scripts/bench_dream.sh.
 //
 //  - full_rank: four random features and an unreachable R² requirement,
@@ -13,8 +14,10 @@
 //    fixed query each site's scanned MiB is constant, so every window's
 //    design matrix has rank 3 of 5. Default DREAM options (R²_require 0.8,
 //    M_max = all history) at 50..5,000 observations. Each row records both
-//    engines' chosen window and convergence; kBatch stops running once a
-//    single estimate exceeds a time budget.
+//    engines' chosen window and convergence, how many windows kIncremental
+//    fitted, and the time of an unpruned scan (the same factor fitted at
+//    every window); kBatch stops running once a single estimate exceeds a
+//    time budget.
 //
 // Bootstrapped histories come from randomly chosen plans, so their R² stays
 // low and both engines grow the window to the whole history. The serving
@@ -22,11 +25,14 @@
 // observations then serve RunQuery calls, whose recorded plans let windows
 // converge after a few observations, and both engines estimate after every
 // query. The serving shape is a correctness gate: the process exits nonzero
-// when the engines disagree on the window or on convergence anywhere.
-// `--quick` keeps only that gate — small histories and the feedback replay,
-// over two system seeds, untimed budget — for scripts/check.sh to run on
-// the default and force-scalar builds; its JSON goes to the build tree.
+// when the engines disagree on the window or on convergence anywhere, or
+// when kIncremental differs from the unpruned scan in window, convergence,
+// any R² or any coefficient by a single bit. `--quick` keeps only that gate
+// — small histories and the feedback replay, over two system seeds, untimed
+// budget — for scripts/check.sh to run on the default and force-scalar
+// builds; its JSON goes to the build tree.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -42,6 +48,7 @@
 #include "midas/medical.h"
 #include "midas/midas.h"
 #include "regression/dream.h"
+#include "regression/incremental_ols.h"
 
 namespace midas {
 namespace {
@@ -70,23 +77,80 @@ TrainingSet MakeFullRankHistory(size_t n) {
   return set;
 }
 
-// Nanoseconds per estimate, adaptively iterated: keep running until the
-// total wall time passes min_total so fast paths get stable statistics,
-// but never fewer than one and never more than max_iters iterations (the
-// batch engine at the longest histories takes seconds per estimate).
-double TimeEstimate(const Dream& dream, const TrainingSet& history,
-                    double min_total_sec, size_t max_iters) {
+// Nanoseconds per call, adaptively iterated: keep running until the total
+// wall time passes min_total so fast paths get stable statistics, but
+// never fewer than one and never more than max_iters iterations (the batch
+// engine at the longest histories takes seconds per estimate).
+template <typename Call>
+double NsPerCall(const Call& call, double min_total_sec, size_t max_iters) {
   using clock = std::chrono::steady_clock;
   size_t iters = 0;
   const auto start = clock::now();
   double elapsed = 0.0;
   while (iters < max_iters && (iters == 0 || elapsed < min_total_sec)) {
-    auto estimate = dream.EstimateCostValue(history);
-    estimate.status().CheckOK();
+    call();
     ++iters;
     elapsed = std::chrono::duration<double>(clock::now() - start).count();
   }
   return elapsed * 1e9 / static_cast<double>(iters);
+}
+
+double TimeEstimate(const Dream& dream, const TrainingSet& history,
+                    double min_total_sec, size_t max_iters) {
+  return NsPerCall(
+      [&] { dream.EstimateCostValue(history).status().CheckOK(); },
+      min_total_sec, max_iters);
+}
+
+// Algorithm 1 without the R² bound: the factor kIncremental grows, rows
+// added in the same order, FitAll at every window until one converges.
+DreamEstimate UnprunedScan(const TrainingSet& history,
+                           const DreamOptions& options) {
+  const size_t m_min = history.num_features() + 2;
+  size_t m_cap = options.m_max == 0 ? history.size() : options.m_max;
+  m_cap = std::max(std::min(m_cap, history.size()), m_min);
+  const size_t first = history.size() - m_cap;
+  IncrementalOls engine(history.num_features(), history.num_metrics());
+  for (size_t i = m_cap - m_min; i < m_cap; ++i) {
+    const Observation& obs = history.at(first + i);
+    engine.Add(obs.features, obs.costs).CheckOK();
+  }
+  DreamEstimate est;
+  for (size_t m = m_min; m <= m_cap; ++m) {
+    if (m > m_min) {
+      const Observation& obs = history.at(first + m_cap - m);
+      engine.Add(obs.features, obs.costs).CheckOK();
+    }
+    est = DreamEstimate();
+    engine.FitAll(&est.models).CheckOK();
+    est.window_size = m;
+    est.fitted_windows = m - m_min + 1;
+    est.converged = true;
+    for (const OlsModel& model : est.models) {
+      const double r2 = options.use_adjusted_r2 ? model.adjusted_r_squared()
+                                                : model.r_squared();
+      est.r_squared.push_back(r2);
+      if (!(r2 >= options.r2_require)) est.converged = false;
+    }
+    if (est.converged) break;
+  }
+  return est;
+}
+
+// Bitwise comparison of kIncremental's estimate with the unpruned scan's:
+// window, verdict, every R² and every coefficient.
+bool MatchesUnpruned(const DreamEstimate& got, const DreamEstimate& want) {
+  if (got.window_size != want.window_size ||
+      got.converged != want.converged || got.r_squared != want.r_squared ||
+      got.models.size() != want.models.size()) {
+    return false;
+  }
+  for (size_t k = 0; k < got.models.size(); ++k) {
+    if (got.models[k].coefficients() != want.models[k].coefficients()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string FullRankSeries() {
@@ -125,7 +189,9 @@ struct ServingRow {
   size_t history = 0;
   size_t window = 0;
   bool converged = false;
+  size_t fitted_windows = 0;
   double incremental_ns = 0.0;
+  double unpruned_ns = 0.0;
   // Unset when kBatch was past its time budget.
   std::optional<double> batch_ns;
   size_t batch_window = 0;
@@ -147,9 +213,8 @@ const TrainingSet& ScopeHistory(MidasSystem& system, const std::string& scope) {
 }
 
 // Grows one Example 2.1 scope through `sizes` and estimates with both
-// engines at each; appends one row per size. Returns false on any
-// disagreement between the engines. `quick` times briefly and never skips
-// kBatch.
+// engines and the unpruned scan at each; appends one row per size. Returns
+// false on any disagreement. `quick` times briefly and never skips kBatch.
 bool ServingSeries(uint64_t seed, const std::vector<size_t>& sizes,
                    bool quick, std::vector<ServingRow>* rows) {
   const double min_seconds = quick ? 0.02 : 0.2;
@@ -174,8 +239,18 @@ bool ServingSeries(uint64_t seed, const std::vector<size_t>& sizes,
         Dream(options).EstimateCostValue(set).ValueOrDie();
     row.window = incremental.window_size;
     row.converged = incremental.converged;
+    row.fitted_windows = incremental.fitted_windows;
+    if (!MatchesUnpruned(incremental, UnprunedScan(set, options))) {
+      std::fprintf(stderr,
+                   "PRUNING MISMATCH: seed %llu history %zu: kIncremental "
+                   "differs from the unpruned scan\n",
+                   static_cast<unsigned long long>(seed), size);
+      agree = false;
+    }
     row.incremental_ns =
         TimeEstimate(Dream(options), set, min_seconds, 1u << 20);
+    row.unpruned_ns = NsPerCall([&] { UnprunedScan(set, options); },
+                                min_seconds, 1u << 20);
 
     if (batch_enabled) {
       options.engine = DreamEngine::kBatch;
@@ -208,10 +283,11 @@ bool ServingSeries(uint64_t seed, const std::vector<size_t>& sizes,
     }
     std::fprintf(stderr,
                  "serving shape, seed %llu, history %5zu: window %5zu%s  "
-                 "incremental %10.0f ns  batch %s\n",
+                 "fitted %zu  incremental %10.0f ns  unpruned %10.0f ns  "
+                 "batch %s\n",
                  static_cast<unsigned long long>(seed), size, row.window,
-                 row.converged ? " (converged)" : "", row.incremental_ns,
-                 batch);
+                 row.converged ? " (converged)" : "", row.fitted_windows,
+                 row.incremental_ns, row.unpruned_ns, batch);
     rows->push_back(row);
   }
   return agree;
@@ -220,12 +296,16 @@ bool ServingSeries(uint64_t seed, const std::vector<size_t>& sizes,
 struct FeedbackTally {
   size_t checks = 0;
   size_t converged = 0;
-  size_t mismatches = 0;
+  size_t mismatches = 0;          // kBatch vs kIncremental
+  size_t pruning_mismatches = 0;  // kIncremental vs the unpruned scan
+  size_t fitted_windows = 0;      // summed over the estimates
+  size_t scanned_windows = 0;     // L + 2 .. window, summed likewise
 };
 
 // Bootstraps one scope to `bootstrap` observations, then serves `queries`
 // RunQuery calls on it (policy weights cycling 0.1..0.9) and compares the
-// engines' window and convergence on the scope's history after each.
+// engines' window and convergence, and kIncremental with the unpruned
+// scan, on the scope's history after each.
 void FeedbackReplay(uint64_t seed, size_t bootstrap, size_t queries,
                     FeedbackTally* tally) {
   std::unique_ptr<MidasSystem> system = MakeServingSystem(seed);
@@ -248,6 +328,17 @@ void FeedbackReplay(uint64_t seed, size_t bootstrap, size_t queries,
         Dream(batch_options).EstimateCostValue(set).ValueOrDie();
     ++tally->checks;
     if (incremental.converged) ++tally->converged;
+    tally->fitted_windows += incremental.fitted_windows;
+    tally->scanned_windows +=
+        incremental.window_size - (set.num_features() + 2) + 1;
+    if (!MatchesUnpruned(incremental,
+                         UnprunedScan(set, incremental_options))) {
+      std::fprintf(stderr,
+                   "PRUNING MISMATCH: seed %llu after query %zu: "
+                   "kIncremental differs from the unpruned scan\n",
+                   static_cast<unsigned long long>(seed), q);
+      ++tally->pruning_mismatches;
+    }
     if (incremental.window_size != batch.window_size ||
         incremental.converged != batch.converged) {
       std::fprintf(stderr,
@@ -275,13 +366,15 @@ std::string ServingRowsJson(const std::vector<ServingRow>& rows) {
                     r.batch_converged ? "true" : "false",
                     *r.batch_ns / r.incremental_ns);
     }
-    char row[384];
+    char row[512];
     std::snprintf(row, sizeof(row),
                   "      {\"seed\": %llu, \"history\": %zu, \"window\": %zu, "
-                  "\"converged\": %s, \"incremental_ns\": %.0f, %s}%s\n",
+                  "\"converged\": %s, \"fitted_windows\": %zu, "
+                  "\"incremental_ns\": %.0f, \"unpruned_ns\": %.0f, %s}%s\n",
                   static_cast<unsigned long long>(r.seed), r.history,
-                  r.window, r.converged ? "true" : "false", r.incremental_ns,
-                  batch, i + 1 < rows.size() ? "," : "");
+                  r.window, r.converged ? "true" : "false", r.fitted_windows,
+                  r.incremental_ns, r.unpruned_ns, batch,
+                  i + 1 < rows.size() ? "," : "");
     json += row;
   }
   return json;
@@ -315,9 +408,13 @@ int Run(const char* out_path, bool quick) {
   }
   std::fprintf(stderr,
                "feedback replay: %zu estimates, %zu converged, %zu engine "
-               "mismatches\n",
-               feedback.checks, feedback.converged, feedback.mismatches);
-  agree = agree && feedback.mismatches == 0;
+               "mismatches, %zu pruning mismatches, %zu of %zu windows "
+               "fitted\n",
+               feedback.checks, feedback.converged, feedback.mismatches,
+               feedback.pruning_mismatches, feedback.fitted_windows,
+               feedback.scanned_windows);
+  agree = agree && feedback.mismatches == 0 &&
+          feedback.pruning_mismatches == 0;
 
   std::string json = "{\n";
   json += "  \"benchmark\": \"dream_window_growth\",\n";
@@ -344,7 +441,9 @@ int Run(const char* out_path, bool quick) {
   json +=
       "    \"setup\": \"MidasSystem::Bootstrap histories of Example 2.1 on "
       "PaperFederation (per-site MiB constant: rank 3 of 5), default DREAM "
-      "options (r2_require 0.8, M_max = all history)\",\n";
+      "options (r2_require 0.8, M_max = all history); unpruned_ns times the "
+      "incremental factor fitted at every window, the scan before the R² "
+      "bound\",\n";
   if (!quick) {
     char budget[96];
     std::snprintf(budget, sizeof(budget),
@@ -354,16 +453,19 @@ int Run(const char* out_path, bool quick) {
   json += "    \"engines_agree\": " + std::string(agree ? "true" : "false") +
           ",\n";
   json += "    \"results\": [\n" + ServingRowsJson(serving) + "    ],\n";
-  char replay[256];
+  char replay[512];
   std::snprintf(replay, sizeof(replay),
                 "    \"feedback_replay\": {\"seeds\": [%llu, %llu], "
                 "\"bootstrap\": %zu, \"queries_per_seed\": %zu, "
                 "\"estimates\": %zu, \"converged\": %zu, "
-                "\"mismatches\": %zu}\n",
+                "\"mismatches\": %zu, \"pruning_mismatches\": %zu, "
+                "\"fitted_windows\": %zu, \"scanned_windows\": %zu}\n",
                 static_cast<unsigned long long>(kFeedbackSeeds[0]),
                 static_cast<unsigned long long>(kFeedbackSeeds[1]),
                 kFeedbackBootstrap, kFeedbackQueries, feedback.checks,
-                feedback.converged, feedback.mismatches);
+                feedback.converged, feedback.mismatches,
+                feedback.pruning_mismatches, feedback.fitted_windows,
+                feedback.scanned_windows);
   json += replay;
   json += "  }\n}\n";
 

@@ -5,7 +5,9 @@
 # histories from MidasSystem::Bootstrap, rank deficient, default DREAM
 # options, 50..5,000 observations, plus a RunQuery feedback replay). The
 # serving shape is a correctness gate first: the benchmark exits nonzero
-# when the engines disagree on a chosen window or convergence flag. Writes
+# when the engines disagree on a chosen window or convergence flag, or when
+# the incremental engine's R²-bound-pruned scan differs by a single bit
+# from an unpruned scan that fits every window. Writes
 # the machine-readable results to BENCH_dream.json at the repo root so the
 # perf trajectory is tracked across PRs. Pass --quick for the CI-sized gate
 # (small histories and the feedback replay only) — quick runs write their

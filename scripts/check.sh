@@ -59,8 +59,10 @@ echo "=== bench: multi-tenant serving smoke (--quick) ==="
 # histories (rank deficient: constant per-site MiB columns) with both
 # engines, including a RunQuery feedback replay whose windows converge, and
 # exits nonzero unless the incremental engine picks the batch reference's
-# window and convergence flag every time. Run against the default preset
-# (dispatched SIMD kernels) and the force-scalar preset.
+# window and convergence flag every time, and unless its R²-bound-pruned
+# scan equals an in-bench unpruned scan (the same factor fitted at every
+# window) bit for bit in window, flag, R² and coefficients. Run against
+# the default preset (dispatched SIMD kernels) and the force-scalar preset.
 echo "=== bench: DREAM engine cross-check (--quick) ==="
 "$repo_root/scripts/bench_dream.sh" --quick
 echo "=== bench: DREAM engine cross-check, force-scalar (--quick) ==="

@@ -12,15 +12,18 @@ namespace midas {
 enum class DreamEngine {
   /// Keeps one QR factor of the window's design matrix for all metrics
   /// (IncrementalOls) and grows the window by Givens-rotating each older
-  /// observation into it: O(L² + N·L) per added observation and
-  /// O(L³ + N·L²) per window fit, independent of the window size m. The
-  /// fit is rank revealing with FitOls's pivot rule, so windows with
-  /// constant or collinear features stay on this path. This is the
+  /// observation into it: O(L² + N·L) per window, independent of the
+  /// window size m. The O(L³ + N·L²) pivoted QR of the factor runs only at
+  /// windows where every metric's R² upper bound (IncrementalOls::
+  /// RSquaredBound) admits r2_require, plus the window it returns; every
+  /// other window's fit could not converge, so skipping it changes no
+  /// result. The fit is rank revealing with FitOls's pivot rule, so windows
+  /// with constant or collinear features stay on this path. This is the
   /// default.
   kIncremental,
   /// Refits every window from scratch with batch FitOls (pivoted QR per
   /// metric over the m window rows) — the original implementation, kept as
-  /// the reference path for equivalence tests and benchmarks.
+  /// the unpruned reference path for equivalence tests and benchmarks.
   kBatch,
 };
 
@@ -28,7 +31,9 @@ enum class DreamEngine {
 struct DreamOptions {
   /// R²_require of Algorithm 1: the window stops growing once every metric's
   /// MLR reaches this coefficient of determination. The paper recommends 0.8
-  /// "to provide a sufficient quality of service level".
+  /// "to provide a sufficient quality of service level". NaN is rejected
+  /// (no R² compares with it); -Inf stops at the minimum window and any
+  /// value above 1, +Inf included, grows the window to the cap.
   double r2_require = 0.8;
 
   /// M_max of Algorithm 1: hard cap on the window size. 0 means "all
@@ -41,13 +46,13 @@ struct DreamOptions {
   /// coefficient count. The ablation bench compares both.
   bool use_adjusted_r2 = false;
 
-  /// When true, the fit must also be numerically sound (non-degenerate
-  /// window); degenerate windows keep growing even if R² looks good.
+  /// FitOls options of the kBatch engine (its ridge fallback); the
+  /// incremental engine's rank-revealing fit takes none.
   OlsOptions ols;
 
   /// Fitting engine; see DreamEngine. Both engines implement the same
-  /// Algorithm 1 semantics and agree on the selected window, models and
-  /// convergence flag (up to floating-point noise).
+  /// Algorithm 1 semantics and agree on the selected window and
+  /// convergence flag, and on the models up to floating-point noise.
   DreamEngine engine = DreamEngine::kIncremental;
 };
 
@@ -62,6 +67,10 @@ struct DreamEstimate {
   std::vector<double> r_squared;
   /// True when every metric reached r2_require before hitting the cap.
   bool converged = false;
+  /// Windows the engine actually fitted on the way to window_size: every
+  /// window for kBatch, only those the R² bound admitted plus the returned
+  /// one for kIncremental. A read-only counter, not a knob.
+  size_t fitted_windows = 0;
 
   /// Predicted cost vector (one value per metric) for feature vector x.
   StatusOr<Vector> Predict(const Vector& x) const;
@@ -89,7 +98,8 @@ class Dream {
 
   const DreamOptions& options() const { return options_; }
 
-  /// Algorithm 1. Fails if the history holds fewer than L + 2 observations.
+  /// Algorithm 1. Fails if r2_require is NaN or the history holds fewer
+  /// than L + 2 observations.
   StatusOr<DreamEstimate> EstimateCostValue(const TrainingSet& history) const;
 
   /// Convenience: estimate then predict the cost vector of x.
@@ -119,7 +129,19 @@ class Dream {
   /// Shared epilogue of one window attempt: records R² per metric and the
   /// convergence verdict against r2_require.
   DreamEstimate MakeWindowEstimate(std::vector<OlsModel> models,
-                                   size_t window_size) const;
+                                   size_t window_size,
+                                   size_t fitted_windows) const;
+
+  /// The statistic Algorithm 1 stops on: R², or adjusted R² when
+  /// use_adjusted_r2.
+  double StoppingR2(const OlsModel& model) const {
+    return options_.use_adjusted_r2 ? model.adjusted_r_squared()
+                                    : model.r_squared();
+  }
+
+  /// Algorithm 1's per-metric stopping test. Written as r2 >= r2_require,
+  /// so a NaN R² never counts as reaching the requirement.
+  bool Reaches(double r2) const { return r2 >= options_.r2_require; }
 
   DreamOptions options_;
 };

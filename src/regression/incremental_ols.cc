@@ -114,4 +114,11 @@ Status IncrementalOls::FitAll(std::vector<OlsModel>* out) const {
   return Status::OK();
 }
 
+double IncrementalOls::RSquaredBound(size_t metric, bool adjusted) const {
+  // FitAll's SSE starts from rss_[metric] and only adds squares, so it is
+  // >= rss_[metric] in IEEE arithmetic; the statistics are FitAll's.
+  return OlsModel::RSquaredOf(rss_[metric], m2_y_[metric], num_observations_,
+                              num_features_, sum_yy_[metric], adjusted);
+}
+
 }  // namespace midas

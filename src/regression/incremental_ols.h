@@ -30,6 +30,12 @@ namespace midas {
 /// fit. SSE is the split-off residual plus the dropped tail of the reduced
 /// heads, so neither Add nor FitAll ever revisits the m window rows, and
 /// the conditioning is that of X, not of XᵀX.
+///
+/// Because SSE is the split-off residual plus non-negative squares,
+/// RSquaredBound reads an upper bound on the R² FitAll would report in
+/// O(1) per metric, before paying for the fit: a caller that only wants
+/// fits reaching some R² (Algorithm 1) calls FitAll only where every
+/// metric's bound admits it.
 class IncrementalOls {
  public:
   /// \param num_features L — length of each feature vector.
@@ -56,6 +62,12 @@ class IncrementalOls {
   /// On success appends one OlsModel per metric (in metric order) to *out,
   /// which is cleared first.
   Status FitAll(std::vector<OlsModel>* out) const;
+
+  /// Upper bound on the R² (adjusted R² when `adjusted`) that FitAll would
+  /// report for `metric` at the current window: OlsModel::RSquaredOf at the
+  /// residual the rotations have split off, which FitAll's SSE can only
+  /// grow. Requires size() >= L + 2, like FitAll.
+  double RSquaredBound(size_t metric, bool adjusted) const;
 
  private:
   size_t num_features_;

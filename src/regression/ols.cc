@@ -2,6 +2,7 @@
 
 #include "linalg/simd.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/decomposition.h"
@@ -17,22 +18,34 @@ OlsModel::OlsModel(Vector coefficients, double sse, double sst,
       sum_yy_(sum_yy) {}
 
 double OlsModel::r_squared() const {
-  if (sst_ == 0.0) {
+  return RSquaredOf(sse_, sst_, num_samples_, num_features(), sum_yy_,
+                    /*adjusted=*/false);
+}
+
+double OlsModel::adjusted_r_squared() const {
+  return RSquaredOf(sse_, sst_, num_samples_, num_features(), sum_yy_,
+                    /*adjusted=*/true);
+}
+
+double OlsModel::RSquaredOf(double sse, double sst, size_t num_samples,
+                            size_t num_features, double sum_yy,
+                            bool adjusted) {
+  double r2;
+  if (sst == 0.0) {
     // Constant response: R² is formally undefined. A perfect fit earns the
     // conventional 1; residual error beyond rounding noise means the model
     // failed to reproduce even a constant, which is the opposite of
     // explanatory power — report 0 instead of the old (vacuously
     // optimistic) 1.
-    return sse_ > 1e-12 * std::max(sum_yy_, 1e-12) ? 0.0 : 1.0;
+    r2 = sse <= 1e-12 * std::max(sum_yy, 1e-12) ? 1.0 : 0.0;
+  } else {
+    r2 = 1.0 - sse / sst;
   }
-  return 1.0 - sse_ / sst_;
-}
-
-double OlsModel::adjusted_r_squared() const {
-  const double n = static_cast<double>(num_samples_);
-  const double l = static_cast<double>(num_features());
-  if (n - l - 1.0 <= 0.0) return r_squared();
-  return 1.0 - (1.0 - r_squared()) * (n - 1.0) / (n - l - 1.0);
+  if (!adjusted) return r2;
+  const double n = static_cast<double>(num_samples);
+  const double l = static_cast<double>(num_features);
+  if (n - l - 1.0 <= 0.0) return r2;
+  return 1.0 - (1.0 - r2) * (n - 1.0) / (n - l - 1.0);
 }
 
 StatusOr<double> OlsModel::Predict(const Vector& x) const {

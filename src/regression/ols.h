@@ -45,6 +45,17 @@ class OlsModel {
   /// Adjusted R², penalising model size: 1-(1-R²)(n-1)/(n-L-1).
   double adjusted_r_squared() const;
 
+  /// The one formula r_squared() and adjusted_r_squared() evaluate, on
+  /// explicit statistics. It is non-increasing in sse in IEEE arithmetic:
+  /// 1 - sse/sst divides by SST ≥ 0, the SST == 0 branch steps down from 1
+  /// to 0 (a NaN SSE reads as residual error), and the adjustment scales
+  /// 1 - R² by a positive factor. So evaluated at any lower bound on a
+  /// fit's SSE it is an upper bound on that fit's R² (DREAM prunes
+  /// Algorithm 1's window fits with it).
+  static double RSquaredOf(double sse, double sst, size_t num_samples,
+                           size_t num_features, double sum_yy,
+                           bool adjusted);
+
   /// Predicts the cost for a feature vector of length num_features().
   StatusOr<double> Predict(const Vector& x) const;
 

@@ -146,6 +146,22 @@ TEST(MidasSystemTest, NonFinitePredictedCostFailsClosed) {
   EXPECT_EQ(system.modelling().history().SizeOf("scope"), recorded);
 }
 
+TEST(MidasSystemTest, NanR2RequirementFailsAndRecordsNothing) {
+  // A NaN R²_require has no stopping point: the DREAM fit must reject it
+  // before any plan is costed, so nothing executes and nothing is recorded.
+  MidasOptions options;
+  options.estimator.dream.r2_require = std::numeric_limits<double>::quiet_NaN();
+  MidasSystem system = MakeSystem(options);
+  QueryPlan query = MakeExample21Query().ValueOrDie();
+  ASSERT_TRUE(system.Bootstrap("scope", query, 16).ok());
+  QueryPolicy policy;
+  policy.weights = {0.5, 0.5};
+  auto outcome = system.RunQuery("scope", query, policy);
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument)
+      << outcome.status().ToString();
+  EXPECT_EQ(system.modelling().history().SizeOf("scope"), 16u);
+}
+
 TEST(MidasSystemTest, BmlEstimatorConfigurable) {
   MidasOptions options;
   options.estimator = EstimatorConfig::Bml(WindowPolicy::kLast2N);

@@ -1,6 +1,8 @@
 #include "regression/ols.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -133,6 +135,45 @@ TEST(OlsModelTest, ConstantResponseR2HonestAboutResidualError) {
   EXPECT_DOUBLE_EQ(perfect.r_squared(), 1.0);
   const OlsModel failed({5.0}, /*sse=*/0.5, /*sst=*/0.0, /*num_samples=*/6);
   EXPECT_DOUBLE_EQ(failed.r_squared(), 0.0);
+}
+
+// DREAM prunes window fits with RSquaredOf evaluated at a lower bound on
+// SSE, which is exact only if R² never rises as SSE grows — across both
+// SST branches, the adjusted form, and the IEEE specials — and if the
+// accessors evaluate that same formula.
+TEST(OlsModelTest, RSquaredOfNonIncreasingInSse) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> sses = {0.0,  1e-300, 1e-13, 1e-12, 2e-12, 0.5,
+                                    1.0,  3.0,    1e300, inf,   nan};
+  for (double sst : {0.0, 1e-12, 2.0, 1e300, inf}) {
+    for (bool adjusted : {false, true}) {
+      double previous = inf;
+      for (double sse : sses) {
+        SCOPED_TRACE("sst " + std::to_string(sst) + " sse " +
+                     std::to_string(sse) + (adjusted ? " adjusted" : ""));
+        const double r2 = OlsModel::RSquaredOf(sse, sst, /*num_samples=*/9,
+                                               /*num_features=*/3,
+                                               /*sum_yy=*/1.0, adjusted);
+        if (std::isnan(r2)) {
+          // Only the SST > 0 branch yields NaN, and only from inf/inf or a
+          // NaN SSE, past which nothing can rank lower.
+          EXPECT_NE(sst, 0.0);
+          break;
+        }
+        EXPECT_LE(r2, previous);
+        previous = r2;
+      }
+    }
+  }
+  // A NaN SSE reads as residual error at SST == 0, not as a perfect fit.
+  EXPECT_EQ(OlsModel::RSquaredOf(nan, 0.0, 9, 3, 1.0, false), 0.0);
+  const OlsModel model({1.0, 2.0, 0.0}, /*sse=*/1.5, /*sst=*/4.0,
+                       /*num_samples=*/7, /*sum_yy=*/30.0);
+  EXPECT_EQ(model.r_squared(),
+            OlsModel::RSquaredOf(1.5, 4.0, 7, 2, 30.0, false));
+  EXPECT_EQ(model.adjusted_r_squared(),
+            OlsModel::RSquaredOf(1.5, 4.0, 7, 2, 30.0, true));
 }
 
 // Property sweep: R² is invariant to affine scaling of features.
