@@ -128,6 +128,7 @@ struct StreamRow {
   size_t chunk_size = 0;  // 0 = the EnumeratePhysical reference
   double total_seconds = 0.0;
   size_t candidates = 0;
+  size_t rows_costed = 0;
   size_t peak_resident = 0;
   size_t pareto_size = 0;
   bool matches_reference = true;
@@ -154,6 +155,7 @@ MoqpResult EnumeratePhysicalReference(
   for (size_t i = 0; i < plans.size(); ++i) cost_rows[i] = costs.Row(i);
   MoqpResult result;
   result.candidates_examined = plans.size();
+  result.rows_costed = plans.size();
   result.peak_resident_candidates = plans.size();
   std::unordered_set<Vector, VectorHash> seen;
   for (size_t idx : ParetoFrontIndices(cost_rows, /*threads=*/1)) {
@@ -213,6 +215,7 @@ void RunStreamingComparison(std::ostream& out,
       result.status().CheckOK();
       row.total_seconds += NowSeconds() - t0;
       row.candidates = result->candidates_examined;
+      row.rows_costed = result->rows_costed;
       row.peak_resident = result->peak_resident_candidates;
       row.pareto_size = result->pareto_costs.size();
       if (baseline_front.empty() && chunk_size == 0) {
@@ -237,15 +240,16 @@ void RunStreamingComparison(std::ostream& out,
   out << "\nCandidate stream vs EnumeratePhysical reference ("
       << rows->front().candidates << " candidates, " << kStreamReps
       << " reps, linear batch predictor)\n";
-  TextTable table({"config", "total", "plans/sec", "peak resident",
-                   "front", "matches"});
+  TextTable table({"config", "total", "plans/sec", "rows costed",
+                   "peak resident", "front", "matches"});
   for (const StreamRow& row : *rows) {
     table.AddRow(
         {row.config, FormatDouble(row.total_seconds * 1e3, 1) + " ms",
-         FormatDouble(
-             static_cast<double>(row.candidates) * kStreamReps / row.total_seconds,
-             0),
-         std::to_string(row.peak_resident), std::to_string(row.pareto_size),
+         FormatDouble(static_cast<double>(row.candidates) * kStreamReps /
+                          row.total_seconds,
+                      0),
+         std::to_string(row.rows_costed), std::to_string(row.peak_resident),
+         std::to_string(row.pareto_size),
          row.matches_reference ? "yes" : "NO"});
   }
   table.Print(out);
@@ -280,6 +284,7 @@ void WriteStreamJson(const std::vector<StreamRow>& rows, int reps,
         << FormatDouble(static_cast<double>(row.candidates) * reps /
                             row.total_seconds,
                         0)
+        << ", \"rows_costed\": " << row.rows_costed
         << ", \"peak_resident_candidates\": " << row.peak_resident
         << ", \"pareto_size\": " << row.pareto_size
         << ", \"matches_reference\": "

@@ -169,7 +169,8 @@ void QepRetargetingExperiment(std::ostream& out) {
   table.Print(out);
 
   out << "\ncandidates_examined: " << moqp->candidates_examined
-      << " QEPs, Pareto set size: " << moqp->pareto_costs.size() << "\n";
+      << " QEPs, rows_costed: " << moqp->rows_costed
+      << ", Pareto set size: " << moqp->pareto_costs.size() << "\n";
   out << "pipeline throughput: "
       << FormatDouble(
              static_cast<double>(moqp->candidates_examined) /

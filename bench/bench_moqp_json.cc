@@ -122,6 +122,7 @@ struct ConfigResult {
   size_t shards = 0;
   std::vector<double> rep_seconds;
   size_t candidates_examined = 0;
+  size_t rows_costed = 0;
   size_t pareto_size = 0;
   size_t peak_resident = 0;
   bool matches_serial = true;
@@ -218,6 +219,7 @@ int Run(const char* out_path) {
       result.status().CheckOK();
       r.rep_seconds.push_back(NowSeconds() - t0);
       r.candidates_examined = result->candidates_examined;
+      r.rows_costed = result->rows_costed;
       r.pareto_size = result->pareto_costs.size();
       r.peak_resident = result->peak_resident_candidates;
       const std::string chosen_plan =
@@ -232,9 +234,11 @@ int Run(const char* out_path) {
           chosen_plan != baseline_plan) {
         r.matches_serial = false;
       }
-      std::fprintf(stderr, "%-15s rep %d: %7.3f s  %zu candidates%s\n",
+      std::fprintf(stderr,
+                   "%-15s rep %d: %7.3f s  %zu candidates, %zu rows "
+                   "costed%s\n",
                    config.name.c_str(), rep, r.rep_seconds.back(),
-                   result->candidates_examined,
+                   result->candidates_examined, result->rows_costed,
                    r.matches_serial ? "" : "  [MISMATCH vs serial]");
     }
     results.push_back(std::move(r));
@@ -265,10 +269,11 @@ int Run(const char* out_path) {
         row, sizeof(row),
         "    {\"config\": \"%s\", \"mode\": \"%s\", \"shards\": %zu, "
         "\"total_seconds\": %.3f, \"plans_per_sec\": %.0f, "
-        "\"speedup_vs_serial\": %.2f, \"pareto_size\": %zu, "
-        "\"peak_resident_candidates\": %zu, \"matches_serial\": %s}%s\n",
+        "\"speedup_vs_serial\": %.2f, \"rows_costed\": %zu, "
+        "\"pareto_size\": %zu, \"peak_resident_candidates\": %zu, "
+        "\"matches_serial\": %s}%s\n",
         r.name.c_str(), r.mode.c_str(), r.shards, total, plans_per_sec,
-        serial_total / total, r.pareto_size, r.peak_resident,
+        serial_total / total, r.rows_costed, r.pareto_size, r.peak_resident,
         r.matches_serial ? "true" : "false",
         i + 1 < results.size() ? "," : "");
     json += row;

@@ -111,6 +111,7 @@ struct ShardRow {
   size_t shards = 0;
   double total_seconds = 0.0;
   size_t candidates = 0;
+  size_t rows_costed = 0;
   size_t peak_resident = 0;
   size_t pareto_size = 0;
   double speedup_vs_1shard = 0.0;
@@ -163,6 +164,7 @@ int main(int argc, char** argv) {
   std::vector<Vector> baseline_front;
   size_t baseline_chosen = 0;
   size_t baseline_candidates = 0;
+  size_t baseline_rows_costed = 0;
 
   std::vector<ShardRow> rows;
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
@@ -179,6 +181,7 @@ int main(int argc, char** argv) {
     result.status().CheckOK();
     row.total_seconds = MonotonicSeconds() - t0;
     row.candidates = result->candidates_examined;
+    row.rows_costed = result->rows_costed;
     row.peak_resident = result->peak_resident_candidates;
     row.pareto_size = result->pareto_costs.size();
     row.per_shard = result->shard_stats;
@@ -186,10 +189,12 @@ int main(int argc, char** argv) {
       baseline_front = result->pareto_costs;
       baseline_chosen = result->chosen;
       baseline_candidates = result->candidates_examined;
+      baseline_rows_costed = result->rows_costed;
     }
     row.matches_serial = result->pareto_costs == baseline_front &&
                          result->chosen == baseline_chosen &&
-                         result->candidates_examined == baseline_candidates;
+                         result->candidates_examined == baseline_candidates &&
+                         result->rows_costed == baseline_rows_costed;
     row.speedup_vs_1shard = row.total_seconds > 0.0
                                 ? rows.empty()
                                       ? 1.0
@@ -201,7 +206,8 @@ int main(int argc, char** argv) {
 
   const unsigned hardware = std::thread::hardware_concurrency();
   out << "Sharded streaming MOQP pipeline (" << rows.front().candidates
-      << " candidates, 3-table chain join over 3 clouds, VM counts 1-"
+      << " candidates, " << rows.front().rows_costed
+      << " rows costed, 3-table chain join over 3 clouds, VM counts 1-"
       << max_nodes << ", hardware_concurrency " << hardware << ")\n";
   TextTable table({"shards", "total", "plans/sec", "speedup", "peak resident",
                    "front", "matches serial"});
@@ -242,6 +248,7 @@ int main(int argc, char** argv) {
     json << "  \"hardware_concurrency\": " << hardware << ",\n";
     json << "  \"candidates_examined\": " << rows.front().candidates
          << ",\n";
+    json << "  \"rows_costed\": " << rows.front().rows_costed << ",\n";
     json << "  \"results\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
       const ShardRow& row = rows[i];
@@ -260,7 +267,7 @@ int main(int argc, char** argv) {
       for (size_t s = 0; s < row.per_shard.size(); ++s) {
         const MoqpShardStats& stats = row.per_shard[s];
         json << (s == 0 ? "" : ", ") << "{\"shard\": " << stats.shard
-             << ", \"candidates\": " << stats.candidates_examined
+             << ", \"rows_costed\": " << stats.rows_costed
              << ", \"front\": " << stats.front_size
              << ", \"plans_per_sec\": "
              << FormatDouble(stats.plans_per_sec, 0) << "}";

@@ -59,20 +59,17 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::Optimize(
     const QueryPolicy& policy) const {
   if (!predictor) return Status::InvalidArgument("null cost predictor");
   const size_t arity = policy.weights.size();
-  return Run(logical, policy,
-             [&](const CandidateChunk& chunk, Matrix* costs,
+  // A template's key is its feature row: a candidate's row is a function
+  // of that row and its pick's VM counts (CandidateFeaturesInto).
+  const TemplateKeyFn key = [this](const QueryPlan& plan_template) {
+    return ExtractFeatures(*federation_, plan_template);
+  };
+  return Run(logical, policy, key,
+             [&](const PlanSpace&, const CandidateChunk& chunk, Matrix* costs,
                  size_t* failed_row) -> Status {
-               // Feature rows straight from the closed-form candidates: one
-               // ExtractFeatures per template, then each pick's VM counts.
-               std::vector<Vector> template_rows(chunk.templates.size());
-               for (size_t t = 0; t < chunk.templates.size(); ++t) {
-                 MIDAS_ASSIGN_OR_RETURN(
-                     template_rows[t],
-                     ExtractFeatures(*federation_, *chunk.templates[t]));
-               }
-               Matrix features(chunk.size(), template_rows.front().size());
+               Matrix features(chunk.size(), chunk.keys.front()->size());
                for (size_t i = 0; i < chunk.size(); ++i) {
-                 CandidateFeaturesInto(template_rows[chunk.template_of[i]],
+                 CandidateFeaturesInto(*chunk.keys[chunk.template_of[i]],
                                        chunk.nodes(i), features.RowData(i));
                }
                MIDAS_RETURN_IF_ERROR(predictor(features, costs));
@@ -94,13 +91,13 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::Optimize(
     const QueryPolicy& policy) const {
   if (!predictor) return Status::InvalidArgument("null cost predictor");
   const size_t arity = policy.weights.size();
-  const PlanEnumerator enumerator(federation_, catalog_, options_.enumerator);
-  return Run(logical, policy,
-             [&](const CandidateChunk& chunk, Matrix* costs,
-                 size_t* failed_row) -> Status {
+  // No key: the predictor reads the plan tree, so every candidate is
+  // streamed and costed.
+  return Run(logical, policy, TemplateKeyFn(),
+             [&](const PlanSpace& space, const CandidateChunk& chunk,
+                 Matrix* costs, size_t* failed_row) -> Status {
                MIDAS_ASSIGN_OR_RETURN(std::vector<QueryPlan> plans,
-                                      enumerator.Materialize(logical,
-                                                             chunk.seqs));
+                                      space.Materialize(chunk.seqs));
                costs->Resize(plans.size(), arity);
                for (size_t i = 0; i < plans.size(); ++i) {
                  *failed_row = i;
@@ -114,9 +111,11 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::Optimize(
 
 StatusOr<MoqpResult> MultiObjectiveOptimizer::Run(
     const QueryPlan& logical, const QueryPolicy& policy,
-    const ChunkScorer& score) const {
+    const TemplateKeyFn& key, const ChunkScorer& score) const {
   MIDAS_RETURN_IF_ERROR(ValidatePolicy(policy));
-  PlanEnumerator enumerator(federation_, catalog_, options_.enumerator);
+  const PlanEnumerator enumerator(federation_, catalog_, options_.enumerator);
+  MIDAS_ASSIGN_OR_RETURN(std::shared_ptr<const PlanSpace> space,
+                         enumerator.Resolve(logical, key));
   const size_t chunk_size = options_.stream_chunk_size == 0
                                 ? MoqpOptions().stream_chunk_size
                                 : options_.stream_chunk_size;
@@ -124,18 +123,14 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::Run(
                                 ? ThreadPool::DefaultThreadCount()
                                 : options_.shards;
   MIDAS_ASSIGN_OR_RETURN(std::vector<EnumerationShard> shards,
-                         enumerator.PartitionShards(logical, num_shards));
+                         space->PartitionShards(num_shards));
 
   // kExhaustivePareto folds each chunk's Pareto survivors into a
   // shard-local archive. kWsm min-max-normalises over the full candidate
   // set and the NSGA variants evolve over it, so they keep every row, in
   // one table indexed by sequence number (EnumeratePhysical order).
   const bool fold = options_.algorithm == MoqpAlgorithm::kExhaustivePareto;
-  uint64_t total = 0;
-  for (const EnumerationShard& shard : shards) {
-    total += shard.planned_emissions;
-  }
-  std::vector<Vector> table(fold ? 0 : static_cast<size_t>(total));
+  std::vector<Vector> table(fold ? 0 : static_cast<size_t>(space->size()));
 
   // One independent pipeline per shard: stream its candidates, cost whole
   // chunks, fold or tabulate the rows under their global sequence numbers.
@@ -144,7 +139,7 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::Run(
     ParetoArchive archive;
     Status status;
     uint64_t failed_seq = 0;
-    uint64_t examined = 0;
+    uint64_t rows_costed = 0;
     size_t peak_resident = 0;
     double seconds = 0.0;
   };
@@ -152,17 +147,16 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::Run(
   const auto run_shard = [&](size_t s) -> Status {
     ShardRun& run = runs[s];
     const double started = MonotonicSeconds();
-    run.status = enumerator.StreamCandidates(
-        logical, shards[s], chunk_size,
-        [&](const CandidateChunk& chunk) -> Status {
-          run.examined += chunk.size();
+    run.status = shards[s].StreamCandidates(
+        chunk_size, [&](const CandidateChunk& chunk) -> Status {
+          run.rows_costed += chunk.size();
           run.peak_resident =
               fold ? std::max(run.peak_resident,
                               run.archive.size() + chunk.size())
-                   : static_cast<size_t>(run.examined);
+                   : static_cast<size_t>(run.rows_costed);
           Matrix costs;
           size_t failed_row = 0;
-          const Status scored = score(chunk, &costs, &failed_row);
+          const Status scored = score(*space, chunk, &costs, &failed_row);
           if (!scored.ok()) {
             run.failed_seq = chunk.seqs[failed_row];
             return scored;
@@ -205,25 +199,39 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::Run(
   if (failed != nullptr) return failed->status;
 
   MoqpResult result;
+  result.candidates_examined = static_cast<size_t>(space->size());
   std::vector<ParetoArchive> archives;
   archives.reserve(runs.size());
   for (size_t s = 0; s < runs.size(); ++s) {
     ShardRun& run = runs[s];
-    result.candidates_examined += static_cast<size_t>(run.examined);
+    result.rows_costed += static_cast<size_t>(run.rows_costed);
     result.peak_resident_candidates += run.peak_resident;
     if (runs.size() > 1) {
       MoqpShardStats shard_stats;
       shard_stats.shard = s;
-      shard_stats.candidates_examined = run.examined;
+      shard_stats.rows_costed = run.rows_costed;
       shard_stats.front_size = run.archive.size();
       shard_stats.peak_resident_candidates = run.peak_resident;
       shard_stats.seconds = run.seconds;
       shard_stats.plans_per_sec =
-          run.seconds > 0.0 ? static_cast<double>(run.examined) / run.seconds
+          run.seconds > 0.0 ? static_cast<double>(run.rows_costed) / run.seconds
                             : 0.0;
       result.shard_stats.push_back(shard_stats);
     }
     archives.push_back(std::move(run.archive));
+  }
+  if (!fold) {
+    // An alias stratum's rows are its leader's, rank for rank: the same
+    // feature rows under a row-by-row pure predictor. The exhaustive fold
+    // needs no copies, since its archive keeps the first representative
+    // of each cost point and rejects every later duplicate.
+    for (const PlanSpace::Stratum& stratum : space->strata()) {
+      if (!stratum.aliased()) continue;
+      for (uint64_t r = 0; r < stratum.feasible; ++r) {
+        table[stratum.seq_base + r] = table[stratum.leader_base + r];
+      }
+    }
+    result.peak_resident_candidates = table.size();
   }
 
   // The selected candidates' costs and sequence numbers, in result order.
@@ -277,8 +285,7 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::Run(
   }
 
   // Plans only for the selected candidates, then Algorithm 2.
-  MIDAS_ASSIGN_OR_RETURN(result.pareto_plans,
-                         enumerator.Materialize(logical, seqs));
+  MIDAS_ASSIGN_OR_RETURN(result.pareto_plans, space->Materialize(seqs));
   MIDAS_ASSIGN_OR_RETURN(result.chosen,
                          BestInPareto(result.pareto_costs, policy));
   return result;

@@ -43,7 +43,7 @@ struct MoqpOptions {
   /// default. The result is independent of the value.
   size_t stream_chunk_size = 4096;
   /// Concurrent candidate-stream pipelines: the plan space is partitioned
-  /// into this many shards (PlanEnumerator::PartitionShards), each costed
+  /// into this many shards (PlanSpace::PartitionShards), each costed
   /// on its own worker against the same predictor. 1 = one stream
   /// (default), 0 = the process-wide default parallelism. The result, and
   /// the error of a failing predictor, are bit-identical at any value;
@@ -58,19 +58,18 @@ struct MoqpOptions {
 struct MoqpShardStats {
   /// Shard id, 0-based (matches the PartitionShards output order).
   size_t shard = 0;
-  /// Candidate plans this shard enumerated and costed.
-  uint64_t candidates_examined = 0;
+  /// Cost rows this shard streamed and scored.
+  uint64_t rows_costed = 0;
   /// Members of the shard-local archive when the shard finished
   /// (pre-merge front size; 0 for the cost-table algorithms).
   size_t front_size = 0;
   /// High-water mark of this shard's resident candidates: its archive
   /// front plus one in-flight chunk of cost rows for kExhaustivePareto,
-  /// its whole slice of the cost table otherwise.
+  /// the table rows it scored otherwise.
   size_t peak_resident_candidates = 0;
   /// Wall-clock seconds of the shard's stream→cost→fold pipeline.
   double seconds = 0.0;
-  /// candidates_examined / seconds (0 when the duration underflows the
-  /// clock).
+  /// rows_costed / seconds (0 when the duration underflows the clock).
   double plans_per_sec = 0.0;
 };
 
@@ -82,10 +81,15 @@ struct MoqpResult {
   std::vector<Vector> pareto_costs;
   /// Index of the plan Algorithm 2 picked for the user policy.
   size_t chosen = 0;
-  /// Number of physical plans considered, each costed exactly once (so
-  /// also the number of predicted cost rows). Aggregation: SUM across
-  /// shards — every candidate belongs to exactly one shard.
+  /// Number of physical plans considered: the plan-space size,
+  /// EnumeratePhysical().size().
   size_t candidates_examined = 0;
+  /// Cost rows the predictor scored. The per-plan pipeline scores every
+  /// candidate; the feature-row pipeline scores leader strata only and
+  /// skips every alias stratum, whose feature rows an earlier template
+  /// group produced rank for rank (PlanSpace). Aggregation: SUM across
+  /// shards.
+  size_t rows_costed = 0;
   /// Estimator snapshot epoch the costs were predicted against. Stamped by
   /// MidasSystem::OptimizeQuery; 0 when the caller's predictor is not a
   /// pinned snapshot.
@@ -93,9 +97,10 @@ struct MoqpResult {
   /// High-water mark of simultaneously resident candidates, counted as
   /// cost rows (plans are built only for the returned set): the archive
   /// front plus one in-flight chunk for kExhaustivePareto, the whole cost
-  /// table for kWsm and the NSGA variants. Aggregation under sharding: SUM
-  /// of the per-shard peaks (shard_stats breaks it down) — the worst case
-  /// when every shard hits its high-water mark simultaneously.
+  /// table for kWsm and the NSGA variants. Aggregation under sharding for
+  /// kExhaustivePareto: SUM of the per-shard peaks (shard_stats breaks it
+  /// down) — the worst case when every shard hits its high-water mark
+  /// simultaneously.
   size_t peak_resident_candidates = 0;
   /// Per-shard pipeline metrics; empty for a single stream (shards == 1).
   std::vector<MoqpShardStats> shard_stats;
@@ -109,16 +114,19 @@ struct MoqpResult {
 /// multi-metric cost, find the Pareto plan set, and select the final plan
 /// with BestInPareto (Algorithm 2) under the user policy.
 ///
-/// Every Optimize call runs one pipeline. The plan space is partitioned
-/// into MoqpOptions::shards shards whose candidate streams
-/// (PlanEnumerator::StreamCandidates) are costed a chunk at a time into
-/// cost rows keyed by each candidate's sequence number (its
-/// EnumeratePhysical index). kExhaustivePareto folds each chunk's
-/// survivors into a shard-local Pareto archive, and the archives are
-/// merged back into serial order; kWsm and the NSGA variants collect the
-/// rows into one sequence-indexed cost table and select over it. Only the
-/// selected candidates are built into plans (PlanEnumerator::Materialize).
-/// The two predictor kinds differ only in how a chunk is costed.
+/// Every Optimize call runs one pipeline. The plan space is resolved once
+/// (PlanEnumerator::Resolve) and partitioned into MoqpOptions::shards
+/// shards whose candidate streams (EnumerationShard::StreamCandidates)
+/// are costed a chunk at a time into cost rows keyed by each candidate's
+/// sequence number (its EnumeratePhysical index). kExhaustivePareto folds
+/// each chunk's survivors into a shard-local Pareto archive, and the
+/// archives are merged back into serial order; kWsm and the NSGA variants
+/// collect the rows into one sequence-indexed cost table and select over
+/// it. Only the selected candidates are built into plans
+/// (PlanSpace::Materialize). The two predictor kinds differ in how a chunk
+/// is costed and in what the space is keyed by: the feature-row pipeline
+/// keys each template by its feature row, so only leader strata are
+/// streamed and an alias stratum's rows are copies of its leader's.
 class MultiObjectiveOptimizer {
  public:
   /// Predicts the cost vector of one annotated physical plan. With either
@@ -129,8 +137,11 @@ class MultiObjectiveOptimizer {
   /// Scores a batch of candidates at once: `features` holds one extracted
   /// feature row per candidate (ires/features.h layout) and the predictor
   /// fills *costs with one row per feature row, one column per metric.
-  /// Must be a pure function of the features — the pipeline never builds
-  /// the candidates' plans for it.
+  /// Must be a pure function of the features, row by row: a row's cost may
+  /// not depend on the other rows of the batch or on its position. The
+  /// pipeline never builds the candidates' plans for it, splits the
+  /// candidates into chunks, and does not score an alias stratum, whose
+  /// feature rows an earlier template group produced rank for rank.
   using BatchCostPredictor =
       std::function<Status(const Matrix& features, Matrix* costs)>;
 
@@ -139,8 +150,9 @@ class MultiObjectiveOptimizer {
                           MoqpOptions options = MoqpOptions());
 
   /// Feature-row pipeline (the served path): each chunk's feature rows go
-  /// to `predictor` in one call, and no plan is built for a candidate
-  /// outside the returned set.
+  /// to `predictor` in one call, no plan is built for a candidate outside
+  /// the returned set, and an alias stratum's candidates are not scored
+  /// again (MoqpResult::rows_costed).
   StatusOr<MoqpResult> Optimize(const QueryPlan& logical,
                                 const BatchCostPredictor& predictor,
                                 const QueryPolicy& policy) const;
@@ -161,17 +173,19 @@ class MultiObjectiveOptimizer {
                                 const QueryPolicy& policy) const;
 
  private:
-  /// Costs one chunk of the candidate stream into *costs, one row per
-  /// candidate in chunk order and one column per policy metric, with the
-  /// rows passing the shared arity and finiteness checks. On failure
-  /// *failed_row is the chunk row whose candidate failed (0 when the
-  /// whole chunk failed at once).
-  using ChunkScorer = std::function<Status(
-      const CandidateChunk& chunk, Matrix* costs, size_t* failed_row)>;
+  /// Costs one chunk of the candidate stream of `space` into *costs, one
+  /// row per candidate in chunk order and one column per policy metric,
+  /// with the rows passing the shared arity and finiteness checks. On
+  /// failure *failed_row is the chunk row whose candidate failed (0 when
+  /// the whole chunk failed at once).
+  using ChunkScorer =
+      std::function<Status(const PlanSpace& space, const CandidateChunk& chunk,
+                           Matrix* costs, size_t* failed_row)>;
 
-  /// The pipeline every Optimize runs (see the class comment).
+  /// The pipeline every Optimize runs (see the class comment), over the
+  /// plan space resolved with `key`.
   StatusOr<MoqpResult> Run(const QueryPlan& logical,
-                           const QueryPolicy& policy,
+                           const QueryPolicy& policy, const TemplateKeyFn& key,
                            const ChunkScorer& score) const;
 
   const Federation* federation_;

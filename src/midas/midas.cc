@@ -34,18 +34,17 @@ Status MidasSystem::Bootstrap(const std::string& scope,
   // EnumeratePhysical list, without enumerating it. Plans are built and
   // run a chunk at a time, so a long bootstrap holds at most kChunk plans
   // at once.
-  MIDAS_ASSIGN_OR_RETURN(std::vector<EnumerationShard> space,
-                         enumerator.PartitionShards(logical, 1));
-  const uint64_t count = space.front().planned_emissions;
+  MIDAS_ASSIGN_OR_RETURN(std::shared_ptr<const PlanSpace> space,
+                         enumerator.Resolve(logical));
   std::vector<uint64_t> picks(runs);
-  for (uint64_t& pick : picks) pick = rng_.Index(count);
+  for (uint64_t& pick : picks) pick = rng_.Index(space->size());
   constexpr size_t kChunk = 64;
   for (size_t begin = 0; begin < picks.size(); begin += kChunk) {
     const std::vector<uint64_t> chunk(
         picks.begin() + begin,
         picks.begin() + std::min(picks.size(), begin + kChunk));
     MIDAS_ASSIGN_OR_RETURN(std::vector<QueryPlan> plans,
-                           enumerator.Materialize(logical, chunk));
+                           space->Materialize(chunk));
     for (const QueryPlan& plan : plans) {
       MIDAS_RETURN_IF_ERROR(
           scheduler_->ExecuteAndRecord(scope, plan).status());

@@ -20,7 +20,7 @@ namespace midas {
 /// with O(front) resident state instead of O(candidates). Members carry
 /// no payload: a member's sequence number identifies its candidate, so a
 /// caller rebuilds whatever it needs (e.g. the plan, via
-/// `PlanEnumerator::Materialize`) for the final members only.
+/// `PlanSpace::Materialize`) for the final members only.
 ///
 /// Insert semantics:
 ///  - a cost bitwise equal to a member is rejected (hashed O(1) dedup,

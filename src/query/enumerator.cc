@@ -1,6 +1,7 @@
 #include "query/enumerator.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -142,8 +143,19 @@ std::vector<QueryPlan> PlanEnumerator::JoinOrderVariants(
   return out;
 }
 
-Status PlanEnumerator::ResolveSpace(const QueryPlan& logical,
-                                    EnumerationSpace* space) const {
+namespace {
+
+bool BitwiseEqual(const TemplateKey& a, const TemplateKey& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+}  // namespace
+
+Status PlanEnumerator::ResolveStrata(const QueryPlan& logical,
+                                     PlanSpace* space,
+                                     std::vector<QueryPlan>* variants) const {
   if (federation_ == nullptr || catalog_ == nullptr) {
     return Status::FailedPrecondition("enumerator missing environment");
   }
@@ -151,108 +163,185 @@ Status PlanEnumerator::ResolveSpace(const QueryPlan& logical,
   if (options_.node_counts.empty()) {
     return Status::InvalidArgument("no candidate node counts");
   }
-  // Checked up front rather than per plan: the candidate stream estimates
-  // cardinalities once per template, so a bad count must fail before any
-  // candidate reaches a visitor.
+  // Checked up front rather than per plan: templates carry estimated
+  // cardinalities, so a bad count must fail before any candidate exists.
   for (int count : options_.node_counts) {
     if (count <= 0) {
       return Status::InvalidArgument("node_counts must be positive, got " +
                                      std::to_string(count));
     }
   }
+  space->num_sites_ = federation_->num_sites();
+  space->node_counts_ = options_.node_counts;
 
-  // Resolve base table placements once; sorted + deduplicated.
+  // Resolve base table placements once; data sites sorted + deduplicated.
+  std::vector<SiteId> data_sites;
   for (const std::string& table : logical.BaseTables()) {
     MIDAS_ASSIGN_OR_RETURN(Federation::Placement placement,
                            federation_->TablePlacement(table));
-    space->data_sites.push_back(placement.site);
-    space->placements.emplace_back(table, placement);
+    data_sites.push_back(placement.site);
+    space->placements_.emplace_back(table, placement);
   }
-  std::sort(space->data_sites.begin(), space->data_sites.end());
-  space->data_sites.erase(
-      std::unique(space->data_sites.begin(), space->data_sites.end()),
-      space->data_sites.end());
+  std::sort(data_sites.begin(), data_sites.end());
+  data_sites.erase(std::unique(data_sites.begin(), data_sites.end()),
+                   data_sites.end());
 
   // Candidate compute placements: every (site, engine) pair in the
   // federation.
   for (const CloudSite& site : federation_->sites()) {
     for (EngineKind engine : site.engines()) {
-      space->computes.push_back({site.id(), engine});
+      space->computes_.push_back({site.id(), engine});
     }
   }
-  if (space->computes.empty()) {
+  if (space->computes_.empty()) {
     return Status::FailedPrecondition("federation hosts no engines");
   }
-
-  space->variants = JoinOrderVariants(logical);
+  bool has_compute_node = false;
   for (const PlanNode* node : logical.Nodes()) {
     if (node->kind != OperatorKind::kScan) {
-      space->has_compute_node = true;
+      has_compute_node = true;
       break;
     }
   }
+
+  // One site spec per compute placement: its participating sites are the
+  // data sites plus the compute site. A site constrains feasibility iff
+  // some operator actually runs there: data sites always host their
+  // scans; the compute site hosts work only when the plan has a non-scan
+  // operator. Unconstrained sites admit every VM count (their digit never
+  // touches a plan).
+  const size_t n_counts = options_.node_counts.size();
+  for (const PlanSpace::Compute& compute : space->computes_) {
+    PlanSpace::SiteSpec spec;
+    spec.used_sites = data_sites;
+    if (!std::binary_search(data_sites.begin(), data_sites.end(),
+                            compute.site)) {
+      spec.used_sites.push_back(compute.site);
+      std::sort(spec.used_sites.begin(), spec.used_sites.end());
+    }
+    for (SiteId site_id : spec.used_sites) {
+      const bool constrained =
+          std::binary_search(data_sites.begin(), data_sites.end(), site_id) ||
+          (site_id == compute.site && has_compute_node);
+      auto site = federation_->site(site_id);
+      std::vector<size_t>& admissible = spec.admissible.emplace_back();
+      for (size_t k = 0; k < n_counts; ++k) {
+        // Respect per-site elasticity limits (an unresolvable site admits
+        // nothing).
+        if (!constrained ||
+            (site.ok() && options_.node_counts[k] <= (*site)->max_nodes())) {
+          admissible.push_back(k);
+        }
+      }
+    }
+    space->site_specs_.push_back(std::move(spec));
+  }
+
+  *variants = JoinOrderVariants(logical);
+
+  // The non-empty strata in serial order, each with its first global
+  // sequence number and its size after the max_plans cap.
+  const size_t n_strata = variants->size() * space->computes_.size() * n_counts;
+  const uint64_t cap = options_.max_plans;
+  uint64_t prefix = 0;
+  for (size_t s = 0; s < n_strata && prefix < cap; ++s) {
+    const uint64_t count = space->FeasibleCount(s);
+    if (count > 0) {
+      const uint64_t feasible = std::min(count, cap - prefix);
+      space->strata_.push_back({s, prefix, feasible, prefix});
+      space->size_ = prefix + feasible;
+    }
+    prefix = count > std::numeric_limits<uint64_t>::max() - prefix
+                 ? std::numeric_limits<uint64_t>::max()
+                 : prefix + count;
+  }
+  if (space->strata_.empty()) {
+    return Status::FailedPrecondition(
+        "no feasible physical plan (check node_counts vs site limits)");
+  }
+  space->leader_size_ = space->size_;
   return Status::OK();
 }
 
-StatusOr<PlanEnumerator::StratumSpec> PlanEnumerator::MakeStratumSpec(
-    const EnumerationSpace& space, size_t stratum_index) const {
-  const size_t n_counts = options_.node_counts.size();
-  const size_t n_computes = space.computes.size();
-  const size_t n_strata = space.variants.size() * n_computes * n_counts;
-  if (stratum_index >= n_strata) {
-    return Status::InvalidArgument("stratum index out of range");
-  }
-  StratumSpec spec;
-  spec.leading_digit = stratum_index % n_counts;
-  const size_t vc = stratum_index / n_counts;
-  spec.compute = vc % n_computes;
-  spec.variant = vc / n_computes;
+StatusOr<std::shared_ptr<const PlanSpace>> PlanEnumerator::Resolve(
+    const QueryPlan& logical, const TemplateKeyFn& key) const {
+  std::shared_ptr<PlanSpace> space(new PlanSpace());
+  std::vector<QueryPlan> variants;
+  MIDAS_RETURN_IF_ERROR(ResolveStrata(logical, space.get(), &variants));
+  const size_t n_counts = space->node_counts_.size();
+  const size_t n_computes = space->computes_.size();
 
-  // Participating sites for this choice: data sites plus compute site.
-  const Compute& compute = space.computes[spec.compute];
-  spec.used_sites = space.data_sites;
-  if (std::find(spec.used_sites.begin(), spec.used_sites.end(),
-                compute.site) == spec.used_sites.end()) {
-    spec.used_sites.push_back(compute.site);
-  }
-  std::sort(spec.used_sites.begin(), spec.used_sites.end());
-
-  // A site constrains feasibility iff some operator actually runs there:
-  // data sites always host their scans; the compute site hosts work only
-  // when the plan has a non-scan operator. Unconstrained sites admit
-  // every VM count (their digit never touches a plan).
-  spec.allowed.resize(spec.used_sites.size());
-  for (size_t i = 0; i < spec.used_sites.size(); ++i) {
-    const SiteId site_id = spec.used_sites[i];
-    const bool constrained =
-        std::binary_search(space.data_sites.begin(), space.data_sites.end(),
-                           site_id) ||
-        (site_id == compute.site && space.has_compute_node);
-    std::vector<char>& allowed = spec.allowed[i];
-    allowed.assign(options_.node_counts.size(), 1);
-    if (!constrained) continue;
-    auto site = federation_->site(site_id);
-    for (size_t k = 0; k < options_.node_counts.size(); ++k) {
-      // Respect per-site elasticity limits (an unresolvable site admits
-      // nothing, mirroring the defensive skip of the materialising loop).
-      allowed[k] = site.ok() && options_.node_counts[k] <= (*site)->max_nodes()
-                       ? 1
-                       : 0;
+  // One template (and key) per group that emits a plan. Strata of one
+  // group are adjacent in index order. A group's leader is the first
+  // earlier group with an equal site spec and a bitwise-equal key; by
+  // transitivity that group is a leader itself.
+  space->groups_.resize(variants.size() * n_computes);
+  std::vector<size_t> leader_of(space->groups_.size());
+  std::vector<size_t> leaders;
+  size_t last_group = std::numeric_limits<size_t>::max();
+  for (const PlanSpace::Stratum& stratum : space->strata_) {
+    const size_t g = stratum.index / n_counts;
+    if (g == last_group) continue;
+    last_group = g;
+    PlanSpace::Group& group = space->groups_[g];
+    const PlanSpace::Compute& compute = space->computes_[g % n_computes];
+    group.plan_template = variants[g / n_computes];
+    MIDAS_RETURN_IF_ERROR(AnnotateNode(group.plan_template.mutable_root(),
+                                       space->placements_, compute.site,
+                                       compute.engine,
+                                       [](SiteId) { return 1; }));
+    MIDAS_RETURN_IF_ERROR(
+        EstimateCardinalities(*catalog_, &group.plan_template));
+    leader_of[g] = g;
+    if (!key) continue;
+    MIDAS_ASSIGN_OR_RETURN(group.key, key(group.plan_template));
+    for (size_t leader : leaders) {
+      if (space->site_specs_[leader % n_computes] ==
+              space->site_specs_[g % n_computes] &&
+          BitwiseEqual(space->groups_[leader].key, group.key)) {
+        leader_of[g] = leader;
+        break;
+      }
     }
+    if (leader_of[g] == g) leaders.push_back(g);
   }
-  return spec;
+
+  // An alias stratum repeats the leader group's stratum at the same
+  // leading digit, which has the same closed-form size and comes earlier,
+  // so it is present and uncut by the max_plans cap.
+  for (PlanSpace::Stratum& stratum : space->strata_) {
+    const size_t g = stratum.index / n_counts;
+    if (leader_of[g] == g) continue;
+    const size_t leader_index =
+        leader_of[g] * n_counts + stratum.index % n_counts;
+    const auto leader = std::lower_bound(
+        space->strata_.begin(), space->strata_.end(), leader_index,
+        [](const PlanSpace::Stratum& s, size_t index) {
+          return s.index < index;
+        });
+    if (leader == space->strata_.end() || leader->index != leader_index ||
+        leader->feasible < stratum.feasible) {
+      return Status::Internal("alias stratum without a leader");
+    }
+    stratum.leader_base = leader->seq_base;
+    space->leader_size_ -= stratum.feasible;
+  }
+  return std::shared_ptr<const PlanSpace>(std::move(space));
 }
 
-uint64_t PlanEnumerator::StratumFeasibleCount(const StratumSpec& spec) {
-  const size_t digits = spec.used_sites.size();
-  if (spec.allowed[digits - 1][spec.leading_digit] == 0) return 0;
+uint64_t PlanSpace::FeasibleCount(size_t stratum_index) const {
+  const SiteSpec& spec = SpecOf(stratum_index);
+  const std::vector<size_t>& leading = spec.admissible.back();
+  if (std::find(leading.begin(), leading.end(),
+                stratum_index % node_counts_.size()) == leading.end()) {
+    return 0;
+  }
+  // Saturate rather than overflow: callers only compare counts against
+  // max_plans, so any value past the cap behaves identically.
   uint64_t product = 1;
-  for (size_t i = 0; i + 1 < digits; ++i) {
-    uint64_t admissible = 0;
-    for (char a : spec.allowed[i]) admissible += a != 0 ? 1 : 0;
+  for (size_t i = 0; i + 1 < spec.admissible.size(); ++i) {
+    const uint64_t admissible = spec.admissible[i].size();
     if (admissible == 0) return 0;
-    // Saturate rather than overflow: callers only compare counts against
-    // max_plans, so any value past the cap behaves identically.
     if (product > std::numeric_limits<uint64_t>::max() / admissible) {
       return std::numeric_limits<uint64_t>::max();
     }
@@ -261,128 +350,84 @@ uint64_t PlanEnumerator::StratumFeasibleCount(const StratumSpec& spec) {
   return product;
 }
 
-StatusOr<std::vector<EnumerationShard::Stratum>> PlanEnumerator::PlanStrata(
-    const EnumerationSpace& space) const {
-  const size_t n_strata = space.variants.size() * space.computes.size() *
-                          options_.node_counts.size();
-  const uint64_t cap = options_.max_plans;
-  std::vector<EnumerationShard::Stratum> strata;
-  uint64_t prefix = 0;
-  for (size_t s = 0; s < n_strata && prefix < cap; ++s) {
-    MIDAS_ASSIGN_OR_RETURN(StratumSpec spec, MakeStratumSpec(space, s));
-    const uint64_t count = StratumFeasibleCount(spec);
-    if (count > 0) {
-      strata.push_back({s, prefix, std::min(count, cap - prefix)});
-    }
-    prefix = count > std::numeric_limits<uint64_t>::max() - prefix
-                 ? std::numeric_limits<uint64_t>::max()
-                 : prefix + count;
-  }
-  if (strata.empty()) {
-    return Status::FailedPrecondition(
-        "no feasible physical plan (check node_counts vs site limits)");
-  }
-  return strata;
-}
-
 template <typename Fn>
-Status PlanEnumerator::ForEachPick(const StratumSpec& spec, uint64_t limit,
-                                   const Fn& fn) const {
-  const size_t n_counts = options_.node_counts.size();
+Status PlanSpace::ForEachPick(size_t stratum_index, uint64_t limit,
+                              const Fn& fn) const {
+  // Cartesian product of the admissible counts over the participating
+  // sites, digit 0 fastest, with the leading (slowest) digit pinned to
+  // this stratum: the serial counter order with infeasible picks skipped.
+  const SiteSpec& spec = SpecOf(stratum_index);
   const size_t digits = spec.used_sites.size();
-  // Cartesian product of node counts over the participating sites, with
-  // the leading (slowest) digit pinned to this stratum.
-  std::vector<size_t> pick(digits, 0);
-  pick[digits - 1] = spec.leading_digit;
-  uint64_t emitted = 0;
-  while (emitted < limit) {
-    bool feasible = true;
-    for (size_t i = 0; i + 1 < digits; ++i) {
-      if (spec.allowed[i][pick[i]] == 0) {
-        feasible = false;
+  std::vector<size_t> rank(digits, 0);
+  std::vector<size_t> pick(digits);
+  for (size_t d = 0; d + 1 < digits; ++d) pick[d] = spec.admissible[d][0];
+  pick[digits - 1] = stratum_index % node_counts_.size();
+  for (uint64_t emitted = 0; emitted < limit; ++emitted) {
+    MIDAS_RETURN_IF_ERROR(fn(pick));
+    size_t d = 0;
+    for (; d + 1 < digits; ++d) {
+      if (++rank[d] < spec.admissible[d].size()) {
+        pick[d] = spec.admissible[d][rank[d]];
         break;
       }
-    }
-    if (feasible) {
-      MIDAS_RETURN_IF_ERROR(fn(pick));
-      ++emitted;
-    }
-    // Advance the mixed-radix counter below the leading digit.
-    size_t d = 0;
-    while (d + 1 < digits) {
-      if (++pick[d] < n_counts) break;
-      pick[d] = 0;
-      ++d;
+      rank[d] = 0;
+      pick[d] = spec.admissible[d][0];
     }
     if (d + 1 >= digits) break;
   }
   return Status::OK();
 }
 
-std::vector<size_t> PlanEnumerator::DecodePick(const StratumSpec& spec,
-                                               uint64_t rank) {
-  // Feasibility is per digit, so the feasible picks in counter order are
-  // the product of each digit's admissible counts, digit 0 fastest: the
-  // rank is a mixed-radix number over those admissible lists.
+std::vector<size_t> PlanSpace::DecodePick(size_t stratum_index,
+                                          uint64_t rank) const {
+  // The feasible picks in counter order are the product of each digit's
+  // admissible counts, digit 0 fastest: the rank is a mixed-radix number
+  // over those admissible lists.
+  const SiteSpec& spec = SpecOf(stratum_index);
   const size_t digits = spec.used_sites.size();
-  std::vector<size_t> pick(digits, 0);
-  pick[digits - 1] = spec.leading_digit;
+  std::vector<size_t> pick(digits);
+  pick[digits - 1] = stratum_index % node_counts_.size();
   for (size_t d = 0; d + 1 < digits; ++d) {
-    std::vector<size_t> admissible;
-    for (size_t k = 0; k < spec.allowed[d].size(); ++k) {
-      if (spec.allowed[d][k] != 0) admissible.push_back(k);
-    }
+    const std::vector<size_t>& admissible = spec.admissible[d];
     pick[d] = admissible[rank % admissible.size()];
     rank /= admissible.size();
   }
   return pick;
 }
 
-StatusOr<QueryPlan> PlanEnumerator::BuildTemplate(const EnumerationSpace& space,
-                                                  size_t variant,
-                                                  size_t compute) const {
-  QueryPlan plan = space.variants[variant];
-  const Compute& c = space.computes[compute];
-  MIDAS_RETURN_IF_ERROR(AnnotateNode(plan.mutable_root(), space.placements,
-                                     c.site, c.engine,
-                                     [](SiteId) { return 1; }));
-  MIDAS_RETURN_IF_ERROR(EstimateCardinalities(*catalog_, &plan));
-  return plan;
-}
-
-Status PlanEnumerator::AnnotatePick(const EnumerationSpace& space,
-                                    const StratumSpec& spec,
-                                    const std::vector<size_t>& pick,
-                                    QueryPlan* plan) const {
-  const std::vector<int>& counts = options_.node_counts;
+Status PlanSpace::AnnotatePick(size_t stratum_index,
+                               const std::vector<size_t>& pick,
+                               QueryPlan* plan) const {
+  const SiteSpec& spec = SpecOf(stratum_index);
   const auto nodes_at = [&](SiteId s) {
     for (size_t i = 0; i < spec.used_sites.size(); ++i) {
-      if (spec.used_sites[i] == s) return counts[pick[i]];
+      if (spec.used_sites[i] == s) return node_counts_[pick[i]];
     }
-    return counts[0];
+    return node_counts_[0];
   };
-  const Compute& compute = space.computes[spec.compute];
-  return AnnotateNode(plan->mutable_root(), space.placements, compute.site,
+  const Compute& compute =
+      computes_[stratum_index / node_counts_.size() % computes_.size()];
+  return AnnotateNode(plan->mutable_root(), placements_, compute.site,
                       compute.engine, nodes_at);
 }
 
 StatusOr<std::vector<QueryPlan>> PlanEnumerator::EnumeratePhysical(
     const QueryPlan& logical) const {
-  EnumerationSpace space;
-  MIDAS_RETURN_IF_ERROR(ResolveSpace(logical, &space));
-  MIDAS_ASSIGN_OR_RETURN(std::vector<EnumerationShard::Stratum> strata,
-                         PlanStrata(space));
+  PlanSpace space;
+  std::vector<QueryPlan> variants;
+  MIDAS_RETURN_IF_ERROR(ResolveStrata(logical, &space, &variants));
   // The reference path: one annotated, cardinality-estimated tree per
   // candidate, built from the variant itself rather than a template.
+  const size_t per_variant =
+      space.computes_.size() * space.node_counts_.size();
   std::vector<QueryPlan> plans;
-  for (const EnumerationShard::Stratum& stratum : strata) {
-    MIDAS_ASSIGN_OR_RETURN(StratumSpec spec,
-                           MakeStratumSpec(space, stratum.index));
-    MIDAS_RETURN_IF_ERROR(ForEachPick(
-        spec, stratum.feasible,
+  for (const PlanSpace::Stratum& stratum : space.strata_) {
+    const QueryPlan& variant = variants[stratum.index / per_variant];
+    MIDAS_RETURN_IF_ERROR(space.ForEachPick(
+        stratum.index, stratum.feasible,
         [&](const std::vector<size_t>& pick) -> Status {
-          QueryPlan plan = space.variants[spec.variant];
-          MIDAS_RETURN_IF_ERROR(AnnotatePick(space, spec, pick, &plan));
+          QueryPlan plan = variant;
+          MIDAS_RETURN_IF_ERROR(space.AnnotatePick(stratum.index, pick, &plan));
           MIDAS_RETURN_IF_ERROR(EstimateCardinalities(*catalog_, &plan));
           plans.push_back(std::move(plan));
           return Status::OK();
@@ -391,108 +436,97 @@ StatusOr<std::vector<QueryPlan>> PlanEnumerator::EnumeratePhysical(
   return plans;
 }
 
-StatusOr<std::vector<EnumerationShard>> PlanEnumerator::PartitionShards(
-    const QueryPlan& logical, size_t num_shards) const {
+StatusOr<std::vector<EnumerationShard>> PlanSpace::PartitionShards(
+    size_t num_shards) const {
   if (num_shards == 0) {
     return Status::InvalidArgument("num_shards must be positive");
   }
-  EnumerationSpace space;
-  MIDAS_RETURN_IF_ERROR(ResolveSpace(logical, &space));
-  MIDAS_ASSIGN_OR_RETURN(std::vector<EnumerationShard::Stratum> entries,
-                         PlanStrata(space));
-
-  // Greedy LPT over the capped stratum sizes: biggest strata first, each
-  // to the currently lightest shard (ties to the lower shard id). Fully
-  // deterministic, so every caller partitions identically.
-  std::vector<size_t> order(entries.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&entries](size_t a, size_t b) {
-    return entries[a].feasible > entries[b].feasible;
+  // Greedy LPT over the capped leader stratum sizes: biggest strata first,
+  // each to the currently lightest shard (ties to the lower shard id).
+  // Fully deterministic, so every caller partitions identically.
+  std::vector<size_t> order;
+  for (size_t e = 0; e < strata_.size(); ++e) {
+    if (!strata_[e].aliased()) order.push_back(e);
+  }
+  std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
+    return strata_[a].feasible > strata_[b].feasible;
   });
-  std::vector<EnumerationShard> shards(num_shards);
+  std::vector<EnumerationShard> shards(
+      num_shards, EnumerationShard(shared_from_this()));
   for (size_t e : order) {
     size_t best = 0;
     for (size_t sh = 1; sh < num_shards; ++sh) {
-      if (shards[sh].planned_emissions < shards[best].planned_emissions) {
+      if (shards[sh].planned_emissions_ < shards[best].planned_emissions_) {
         best = sh;
       }
     }
-    shards[best].strata.push_back(entries[e]);
-    shards[best].planned_emissions += entries[e].feasible;
+    shards[best].strata_.push_back(strata_[e]);
+    shards[best].planned_emissions_ += strata_[e].feasible;
   }
   for (EnumerationShard& shard : shards) {
-    std::sort(shard.strata.begin(), shard.strata.end(),
-              [](const EnumerationShard::Stratum& a,
-                 const EnumerationShard::Stratum& b) {
+    std::sort(shard.strata_.begin(), shard.strata_.end(),
+              [](const Stratum& a, const Stratum& b) {
                 return a.index < b.index;
               });
   }
   return shards;
 }
 
-Status PlanEnumerator::StreamCandidates(const QueryPlan& logical,
-                                        const EnumerationShard& shard,
-                                        size_t chunk_size,
-                                        const CandidateVisitor& visitor) const {
+Status EnumerationShard::StreamCandidates(
+    size_t chunk_size, const CandidateVisitor& visitor) const {
+  return space_->Stream(strata_, chunk_size, visitor);
+}
+
+Status PlanSpace::Stream(const std::vector<Stratum>& strata,
+                         size_t chunk_size,
+                         const CandidateVisitor& visitor) const {
   if (!visitor) return Status::InvalidArgument("null candidate visitor");
   if (chunk_size == 0) {
     return Status::InvalidArgument("chunk_size must be positive");
   }
-  EnumerationSpace space;
-  MIDAS_RETURN_IF_ERROR(ResolveSpace(logical, &space));
-  const size_t n_counts = options_.node_counts.size();
-  const size_t n_sites = federation_->num_sites();
+  const size_t n_counts = node_counts_.size();
   uint64_t planned = 0;
-  for (const EnumerationShard::Stratum& stratum : shard.strata) {
-    planned += stratum.feasible;
-  }
+  for (const Stratum& stratum : strata) planned += stratum.feasible;
   const size_t reserve =
       static_cast<size_t>(std::min<uint64_t>(chunk_size, planned));
   CandidateChunk chunk;
-  chunk.num_sites = n_sites;
+  chunk.num_sites = num_sites_;
   chunk.seqs.reserve(reserve);
   chunk.template_of.reserve(reserve);
-  chunk.site_nodes.reserve(reserve * n_sites);
+  chunk.site_nodes.reserve(reserve * num_sites_);
   const auto flush = [&]() -> Status {
     if (chunk.size() == 0) return Status::OK();
     Status status = visitor(chunk);
     chunk.templates.clear();
+    chunk.keys.clear();
     chunk.seqs.clear();
     chunk.template_of.clear();
     chunk.site_nodes.clear();
     return status;
   };
 
-  // Strata of one (variant, compute) group are adjacent in index order,
-  // so each group's template is built once per stream.
-  std::shared_ptr<const QueryPlan> plan_template;
-  size_t template_group = std::numeric_limits<size_t>::max();
-  for (const EnumerationShard::Stratum& stratum : shard.strata) {
-    MIDAS_ASSIGN_OR_RETURN(StratumSpec spec,
-                           MakeStratumSpec(space, stratum.index));
-    const size_t group = stratum.index / n_counts;
-    if (group != template_group) {
-      MIDAS_ASSIGN_OR_RETURN(QueryPlan built,
-                             BuildTemplate(space, spec.variant, spec.compute));
-      plan_template = std::make_shared<const QueryPlan>(std::move(built));
-      template_group = group;
-    }
+  for (const Stratum& stratum : strata) {
+    const Group& group = groups_[stratum.index / n_counts];
+    const SiteSpec& spec = SpecOf(stratum.index);
     uint64_t seq = stratum.seq_base;
     MIDAS_RETURN_IF_ERROR(ForEachPick(
-        spec, stratum.feasible,
+        stratum.index, stratum.feasible,
         [&](const std::vector<size_t>& pick) -> Status {
+          // Strata of one group are adjacent, so a template enters the
+          // chunk once per run of its strata.
           if (chunk.templates.empty() ||
-              chunk.templates.back() != plan_template) {
-            chunk.templates.push_back(plan_template);
+              chunk.templates.back() != &group.plan_template) {
+            chunk.templates.push_back(&group.plan_template);
+            chunk.keys.push_back(&group.key);
           }
           chunk.template_of.push_back(
               static_cast<uint32_t>(chunk.templates.size() - 1));
           chunk.seqs.push_back(seq++);
           const size_t row = chunk.site_nodes.size();
-          chunk.site_nodes.resize(row + n_sites, 0);
+          chunk.site_nodes.resize(row + num_sites_, 0);
           for (size_t i = 0; i < spec.used_sites.size(); ++i) {
             chunk.site_nodes[row + spec.used_sites[i]] =
-                options_.node_counts[pick[i]];
+                node_counts_[pick[i]];
           }
           return chunk.size() < chunk_size ? Status::OK() : flush();
         }));
@@ -500,50 +534,31 @@ Status PlanEnumerator::StreamCandidates(const QueryPlan& logical,
   return flush();
 }
 
-StatusOr<std::vector<QueryPlan>> PlanEnumerator::Materialize(
-    const QueryPlan& logical, const std::vector<uint64_t>& seqs) const {
-  EnumerationSpace space;
-  MIDAS_RETURN_IF_ERROR(ResolveSpace(logical, &space));
-  MIDAS_ASSIGN_OR_RETURN(std::vector<EnumerationShard::Stratum> strata,
-                         PlanStrata(space));
-  const uint64_t total = strata.back().seq_base + strata.back().feasible;
-  // Visit the requests in sequence order so each stratum's spec and each
-  // group's template are built once.
+StatusOr<std::vector<QueryPlan>> PlanSpace::Materialize(
+    const std::vector<uint64_t>& seqs) const {
+  // Visit the requests in sequence order so the strata are walked once.
   std::vector<size_t> order(seqs.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
                    [&seqs](size_t a, size_t b) { return seqs[a] < seqs[b]; });
   std::vector<QueryPlan> plans(seqs.size());
-  const size_t n_counts = options_.node_counts.size();
+  const size_t n_counts = node_counts_.size();
   size_t stratum_at = 0;
-  StratumSpec spec;
-  bool have_spec = false;
-  QueryPlan plan_template;
-  size_t template_group = std::numeric_limits<size_t>::max();
   for (size_t i : order) {
     const uint64_t seq = seqs[i];
-    if (seq >= total) {
+    if (seq >= size_) {
       return Status::OutOfRange("plan sequence number " + std::to_string(seq) +
-                                " past the " + std::to_string(total) +
+                                " past the " + std::to_string(size_) +
                                 " emitted plans");
     }
-    while (seq >= strata[stratum_at].seq_base + strata[stratum_at].feasible) {
+    while (seq >= strata_[stratum_at].seq_base + strata_[stratum_at].feasible) {
       ++stratum_at;
-      have_spec = false;
     }
-    const EnumerationShard::Stratum& stratum = strata[stratum_at];
-    if (!have_spec) {
-      MIDAS_ASSIGN_OR_RETURN(spec, MakeStratumSpec(space, stratum.index));
-      have_spec = true;
-    }
-    if (stratum.index / n_counts != template_group) {
-      MIDAS_ASSIGN_OR_RETURN(plan_template,
-                             BuildTemplate(space, spec.variant, spec.compute));
-      template_group = stratum.index / n_counts;
-    }
-    QueryPlan plan = plan_template;
+    const Stratum& stratum = strata_[stratum_at];
+    QueryPlan plan = groups_[stratum.index / n_counts].plan_template;
     MIDAS_RETURN_IF_ERROR(AnnotatePick(
-        space, spec, DecodePick(spec, seq - stratum.seq_base), &plan));
+        stratum.index, DecodePick(stratum.index, seq - stratum.seq_base),
+        &plan));
     plans[i] = std::move(plan);
   }
   return plans;

@@ -1,14 +1,16 @@
 // Candidate stream == materialized enumeration: every candidate the
-// closed-form stream (PlanEnumerator::StreamCandidates) emits must carry
+// closed-form stream (EnumerationShard::StreamCandidates) emits must carry
 // the feature row ExtractFeatures computes on the plan EnumeratePhysical
 // emits at the same sequence number, bit for bit; Materialize must rebuild
-// exactly those plans; and the shard streams must reassemble the serial
-// stream. The grid covers both paper federations, Example 2.1, the four
-// TPC-H paper queries, a three-table join with two scans at one site
-// (whose per-variant scan-byte summation order differs) and a scan-only
-// plan (whose compute site hosts nothing), at the default and the 1–16
-// VM-count sets (cloud-B's max of 8 makes picks infeasible), uncapped and
-// with a max_plans cap that cuts a stratum.
+// exactly those plans; the shard streams must reassemble the serial
+// stream; and, keyed by the feature row, the leader strata plus the alias
+// copies must reproduce every serial row. The grid covers both paper
+// federations, Example 2.1, the four TPC-H paper queries, a three-table
+// join with two scans at one site (whose per-variant scan-byte summation
+// order differs) and a scan-only plan (whose compute site hosts nothing),
+// at the default and the 1–16 VM-count sets (cloud-B's max of 8 makes
+// picks infeasible), uncapped and with a max_plans cap that cuts a
+// stratum.
 
 #include <cstring>
 #include <numeric>
@@ -130,7 +132,6 @@ struct StreamedCandidate {
 };
 
 Status CollectStream(const Federation& federation,
-                     const PlanEnumerator& enumerator, const QueryPlan& logical,
                      const EnumerationShard& shard, size_t chunk_size,
                      std::vector<StreamedCandidate>* out, uint64_t* emitted) {
   const auto visit = [&](const CandidateChunk& chunk) -> Status {
@@ -139,6 +140,13 @@ Status CollectStream(const Federation& federation,
       MIDAS_ASSIGN_OR_RETURN(Vector row,
                              ExtractFeatures(federation, *plan_template));
       template_rows.push_back(std::move(row));
+    }
+    for (size_t t = 0; t < chunk.templates.size(); ++t) {
+      // A keyed stream carries each template's feature row as its key.
+      if (!chunk.keys[t]->empty() &&
+          !BitwiseEqual(*chunk.keys[t], template_rows[t])) {
+        return Status::Internal("template key is not its feature row");
+      }
     }
     for (size_t i = 0; i < chunk.size(); ++i) {
       const uint64_t seq = chunk.seqs[i];
@@ -154,7 +162,7 @@ Status CollectStream(const Federation& federation,
     *emitted += chunk.size();
     return Status::OK();
   };
-  return enumerator.StreamCandidates(logical, shard, chunk_size, visit);
+  return shard.StreamCandidates(chunk_size, visit);
 }
 
 void CheckStreamMatchesEnumeration(const Scenario& s,
@@ -168,13 +176,14 @@ void CheckStreamMatchesEnumeration(const Scenario& s,
 
   // Serial stream (the one-shard partition): dense, in order, rows
   // bitwise equal to ExtractFeatures.
-  auto whole = enumerator.PartitionShards(s.logical, 1);
-  ASSERT_TRUE(whole.ok());
+  auto space = enumerator.Resolve(s.logical);
+  ASSERT_TRUE(space.ok());
+  ASSERT_EQ((*space)->size(), n);
   std::vector<StreamedCandidate> serial(n);
   uint64_t emitted = 0;
-  ASSERT_TRUE(CollectStream(s.federation, enumerator, s.logical,
-                            whole->front(), /*chunk_size=*/977, &serial,
-                            &emitted)
+  ASSERT_TRUE(CollectStream(s.federation,
+                            (*space)->PartitionShards(1)->front(),
+                            /*chunk_size=*/977, &serial, &emitted)
                   .ok());
   ASSERT_EQ(emitted, n);
   size_t row_mismatches = 0;
@@ -190,7 +199,7 @@ void CheckStreamMatchesEnumeration(const Scenario& s,
   std::iota(seqs.begin(), seqs.end(), uint64_t{0});
   Rng rng(n);
   for (size_t i = n; i > 1; --i) std::swap(seqs[i - 1], seqs[rng.Index(i)]);
-  auto rebuilt = enumerator.Materialize(s.logical, seqs);
+  auto rebuilt = (*space)->Materialize(seqs);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   ASSERT_EQ(rebuilt->size(), n);
   for (size_t i = 0; i < n; ++i) {
@@ -200,13 +209,13 @@ void CheckStreamMatchesEnumeration(const Scenario& s,
   }
 
   // Shard streams reassemble the serial stream.
-  auto shards = enumerator.PartitionShards(s.logical, 3);
+  auto shards = (*space)->PartitionShards(3);
   ASSERT_TRUE(shards.ok());
   std::vector<StreamedCandidate> sharded(n);
   uint64_t sharded_emitted = 0;
   for (const EnumerationShard& shard : *shards) {
-    ASSERT_TRUE(CollectStream(s.federation, enumerator, s.logical, shard,
-                              /*chunk_size=*/301, &sharded, &sharded_emitted)
+    ASSERT_TRUE(CollectStream(s.federation, shard, /*chunk_size=*/301,
+                              &sharded, &sharded_emitted)
                     .ok());
   }
   ASSERT_EQ(sharded_emitted, n);
@@ -217,6 +226,38 @@ void CheckStreamMatchesEnumeration(const Scenario& s,
     EXPECT_EQ(sharded[seq].template_string, serial[seq].template_string)
         << "seq " << seq;
   }
+
+  // Keyed by the feature row (the served path): the shards stream the
+  // leader strata only, and every alias candidate's feature row is its
+  // leader's at the same rank, so the leaders' rows plus the alias copies
+  // are the serial rows bit for bit.
+  auto keyed = enumerator.Resolve(
+      s.logical, [&s](const QueryPlan& plan_template) {
+        return ExtractFeatures(s.federation, plan_template);
+      });
+  ASSERT_TRUE(keyed.ok()) << keyed.status().ToString();
+  ASSERT_EQ((*keyed)->size(), n);
+  std::vector<StreamedCandidate> leaders(n);
+  uint64_t leader_emitted = 0;
+  for (const EnumerationShard& shard :
+       (*keyed)->PartitionShards(3).ValueOrDie()) {
+    ASSERT_TRUE(CollectStream(s.federation, shard, /*chunk_size=*/301,
+                              &leaders, &leader_emitted)
+                    .ok());
+  }
+  EXPECT_EQ(leader_emitted, (*keyed)->leader_size());
+  size_t alias_mismatches = 0;
+  for (const PlanSpace::Stratum& stratum : (*keyed)->strata()) {
+    for (uint64_t r = 0; r < stratum.feasible; ++r) {
+      const uint64_t seq = stratum.seq_base + r;
+      const StreamedCandidate& source = leaders[stratum.leader_base + r];
+      EXPECT_EQ(leaders[seq].seen, !stratum.aliased()) << "seq " << seq;
+      if (!source.seen || !BitwiseEqual(source.row, serial[seq].row)) {
+        ++alias_mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(alias_mismatches, 0u);
 }
 
 TEST(CandidateStreamEquivalenceTest, MatchesEnumeratePhysicalAcrossGrid) {
@@ -237,11 +278,10 @@ TEST(CandidateStreamEquivalenceTest, MaxPlansCapCuttingAStratum) {
     EnumeratorOptions options;
     options.node_counts = CountsUpTo(16);
     PlanEnumerator uncapped(&s.federation, &s.catalog, options);
-    auto shards = uncapped.PartitionShards(s.logical, 1);
-    ASSERT_TRUE(shards.ok());
+    auto space = uncapped.Resolve(s.logical);
+    ASSERT_TRUE(space.ok());
     // Cap halfway through the second non-empty stratum.
-    const std::vector<EnumerationShard::Stratum>& strata =
-        shards->front().strata;
+    const std::vector<PlanSpace::Stratum>& strata = (*space)->strata();
     ASSERT_GE(strata.size(), 2u) << s.name;
     ASSERT_GE(strata[1].feasible, 2u) << s.name;
     options.max_plans = strata[1].seq_base + strata[1].feasible / 2;

@@ -1,13 +1,17 @@
 // Randomized MOQP properties: seeded draws of federation (both paper
 // federations), VM-count set, cost model, weights (a zero weight
 // included) and constraints (infeasible ones included), each run through
-// every MoqpAlgorithm x shards {1, 2, 4} x stream_chunk_size {1, 7,
+// every MoqpAlgorithm x shards {1, 2, 4, 8} x stream_chunk_size {1, 7,
 // default} x both predictor kinds. The exhaustive and WSM results must
 // match an in-test EnumeratePhysical replay; NSGA must not depend on how
-// the plan space is sharded, chunked or costed; bad weights must fail
-// before any predictor call; and a failing per-plan predictor must report
-// the error a single serial stream reaches first. Kept small enough for
-// the tsan preset.
+// the plan space is sharded, chunked or costed; the feature-row pipeline
+// must cost one row per distinct feature row on Example 2.1 (aliased
+// strata are copied, not scored), also under a max_plans cap that cuts an
+// alias group, on scan-only plans whose compute site is a participating
+// but unconstrained digit, and on a federation where nothing aliases; bad
+// weights must fail before any predictor call; and a failing per-plan
+// predictor must report the error a single serial stream reaches first.
+// Kept small enough for the tsan preset.
 
 #include <atomic>
 #include <limits>
@@ -28,7 +32,7 @@
 namespace midas {
 namespace {
 
-constexpr size_t kShardCounts[] = {1, 2, 4};
+constexpr size_t kShardCounts[] = {1, 2, 4, 8};
 constexpr size_t kChunkSizes[] = {1, 7, 0};
 constexpr MoqpAlgorithm kAlgorithms[] = {
     MoqpAlgorithm::kExhaustivePareto, MoqpAlgorithm::kWsm,
@@ -124,18 +128,22 @@ struct Replay {
   std::vector<std::string> plans;
   std::vector<Vector> costs;
   std::vector<size_t> front;  // distinct, in enumeration order
+  size_t distinct_rows = 0;   // distinct feature rows
 };
 
 Replay MakeReplay(const Space& space, const EnumeratorOptions& options,
                   const CostModel& model) {
   const PlanEnumerator enumerator(&space.federation, &space.catalog, options);
   Replay replay;
+  std::unordered_set<Vector, VectorHash> rows;
   for (const QueryPlan& plan :
        enumerator.EnumeratePhysical(space.query).ValueOrDie()) {
     const Vector x = ExtractFeatures(space.federation, plan).ValueOrDie();
     replay.plans.push_back(plan.ToString());
     replay.costs.push_back(model(x.data(), x.size()));
+    rows.insert(x);
   }
+  replay.distinct_rows = rows.size();
   std::unordered_set<Vector, VectorHash> seen;
   for (size_t idx : ParetoFrontIndices(replay.costs, /*threads=*/1)) {
     if (seen.insert(replay.costs[idx]).second) replay.front.push_back(idx);
@@ -158,11 +166,12 @@ void ExpectMatches(const MoqpResult& result,
   EXPECT_EQ(result.chosen, chosen) << label;
 }
 
-MoqpOptions Options(MoqpAlgorithm algorithm, const std::vector<int>& counts,
-                    size_t shards, size_t chunk) {
+MoqpOptions Options(MoqpAlgorithm algorithm,
+                    const EnumeratorOptions& enumerator, size_t shards,
+                    size_t chunk) {
   MoqpOptions options;
   options.algorithm = algorithm;
-  options.enumerator.node_counts = counts;
+  options.enumerator = enumerator;
   options.shards = shards;
   options.stream_chunk_size = chunk;
   options.nsga2.population_size = 16;
@@ -172,21 +181,25 @@ MoqpOptions Options(MoqpAlgorithm algorithm, const std::vector<int>& counts,
   return options;
 }
 
-class MoqpPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+// Feature-row rows the pipeline must cost on a space: one per distinct
+// feature row when every participating site hosts an operator (any plan
+// with a non-scan operator), else between that and every candidate.
+enum class Rows { kDistinct, kAtLeastDistinct, kAll };
 
-TEST_P(MoqpPropertyTest, EveryAlgorithmShardChunkAndPredictorKindAgrees) {
-  Rng rng(GetParam());
-  const Space space = MakeSpace(GetParam() % 2 == 1);
-  const std::vector<int> counts = RandomNodeCounts(&rng);
+// Every algorithm x shard count x chunk size x predictor kind on one
+// space, under random policies: exhaustive and WSM results must match the
+// replay, NSGA must agree with itself, and rows_costed must count what the
+// predictor scored.
+void ExpectEveryPipelineAgrees(const Space& space,
+                               const EnumeratorOptions& enumerator,
+                               Rows feature_rows, Rng* rng) {
   const CostModel model =
-      RandomCostModel(FeatureNames(space.federation).size(), &rng);
-  EnumeratorOptions enumerator;
-  enumerator.node_counts = counts;
+      RandomCostModel(FeatureNames(space.federation).size(), rng);
   const Replay replay = MakeReplay(space, enumerator, model);
   const auto batch = BatchPredictor(model);
   const auto per_plan = PlanPredictor(&space.federation, model);
 
-  for (const QueryPolicy& policy : RandomPolicies(&rng)) {
+  for (const QueryPolicy& policy : RandomPolicies(rng)) {
     std::vector<Vector> front_costs;
     for (size_t idx : replay.front) front_costs.push_back(replay.costs[idx]);
     const size_t exhaustive_choice =
@@ -201,7 +214,7 @@ TEST_P(MoqpPropertyTest, EveryAlgorithmShardChunkAndPredictorKindAgrees) {
         for (size_t chunk : kChunkSizes) {
           const MultiObjectiveOptimizer optimizer(
               &space.federation, &space.catalog,
-              Options(algorithm, counts, shards, chunk));
+              Options(algorithm, enumerator, shards, chunk));
           for (bool batched : {true, false}) {
             const std::string label =
                 MoqpAlgorithmName(algorithm) +
@@ -214,6 +227,16 @@ TEST_P(MoqpPropertyTest, EveryAlgorithmShardChunkAndPredictorKindAgrees) {
                               : optimizer.Optimize(space.query, per_plan,
                                                    policy);
             ASSERT_TRUE(result.ok()) << label << result.status().ToString();
+            EXPECT_EQ(result->candidates_examined, replay.plans.size())
+                << label;
+            if (!batched || feature_rows == Rows::kAll) {
+              EXPECT_EQ(result->rows_costed, replay.plans.size()) << label;
+            } else if (feature_rows == Rows::kDistinct) {
+              EXPECT_EQ(result->rows_costed, replay.distinct_rows) << label;
+            } else {
+              EXPECT_GE(result->rows_costed, replay.distinct_rows) << label;
+              EXPECT_LE(result->rows_costed, replay.plans.size()) << label;
+            }
             switch (algorithm) {
               case MoqpAlgorithm::kExhaustivePareto:
                 ExpectMatches(*result, replay.front, exhaustive_choice,
@@ -239,10 +262,79 @@ TEST_P(MoqpPropertyTest, EveryAlgorithmShardChunkAndPredictorKindAgrees) {
   }
 }
 
+class MoqpPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MoqpPropertyTest, EveryAlgorithmShardChunkAndPredictorKindAgrees) {
+  Rng rng(GetParam());
+  const Space space = MakeSpace(GetParam() % 2 == 1);
+  EnumeratorOptions enumerator;
+  enumerator.node_counts = RandomNodeCounts(&rng);
+  ExpectEveryPipelineAgrees(space, enumerator, Rows::kDistinct, &rng);
+}
+
+TEST_P(MoqpPropertyTest, ScanOnlySpacesAgree) {
+  // A scan-only plan: a compute site other than the data site takes part
+  // in the pick but hosts no operator, so its VM count is invisible to the
+  // feature row and several candidates of one stratum share a row.
+  Rng rng(GetParam());
+  Space space = MakeSpace(GetParam() % 2 == 1);
+  space.query = QueryPlan(MakeScan("GeneralInfo"));
+  EnumeratorOptions enumerator;
+  enumerator.node_counts = RandomNodeCounts(&rng);
+  ExpectEveryPipelineAgrees(space, enumerator, Rows::kAtLeastDistinct, &rng);
+}
+
+TEST_P(MoqpPropertyTest, MaxPlansCapInsideAnAliasGroupAgrees) {
+  Rng rng(GetParam());
+  const Space space = MakeSpace(GetParam() % 2 == 1);
+  EnumeratorOptions enumerator;
+  enumerator.node_counts = RandomNodeCounts(&rng);
+  // Cap halfway through the last alias stratum of the keyed space.
+  const auto keyed =
+      PlanEnumerator(&space.federation, &space.catalog, enumerator)
+          .Resolve(space.query,
+                   [&space](const QueryPlan& plan_template) {
+                     return ExtractFeatures(space.federation, plan_template);
+                   })
+          .ValueOrDie();
+  const PlanSpace::Stratum* cut = nullptr;
+  for (const PlanSpace::Stratum& stratum : keyed->strata()) {
+    if (stratum.aliased()) cut = &stratum;
+  }
+  ASSERT_NE(cut, nullptr);
+  enumerator.max_plans = cut->seq_base + (cut->feasible + 1) / 2;
+  ExpectEveryPipelineAgrees(space, enumerator, Rows::kDistinct, &rng);
+}
+
+TEST_P(MoqpPropertyTest, FederationWithoutAliasesAgrees) {
+  // Three single-engine sites and an aggregate over one table: computing
+  // at A, B or C puts operators on {A}, {A, B} or {A, C}, so every
+  // template's feature row differs and nothing is aliased.
+  Rng rng(GetParam());
+  Space space{Federation(), MakeMedicalCatalog(0.05).ValueOrDie(),
+              QueryPlan(MakeAggregate(MakeScan("GeneralInfo"), 20))};
+  const EngineKind engines[] = {EngineKind::kHive, EngineKind::kPostgres,
+                                EngineKind::kSpark};
+  for (int i = 0; i < 3; ++i) {
+    SiteConfig site;
+    site.name = std::string("site-") + static_cast<char>('A' + i);
+    site.engines = {engines[i]};
+    site.node_type = {ProviderKind::kAmazon, "m4.large", 2, 8.0, 0.0,
+                      0.02 * (i + 1)};
+    site.max_nodes = i == 0 ? 10 : i == 1 ? 6 : 16;
+    space.federation.AddSite(site).ValueOrDie();
+  }
+  space.federation.PlaceTable("GeneralInfo", 0, EngineKind::kHive).CheckOK();
+  EnumeratorOptions enumerator;
+  enumerator.node_counts = RandomNodeCounts(&rng);
+  ExpectEveryPipelineAgrees(space, enumerator, Rows::kAll, &rng);
+}
+
 TEST_P(MoqpPropertyTest, BadWeightsFailBeforeAnyPredictorCall) {
   Rng rng(GetParam());
   const Space space = MakeSpace(GetParam() % 2 == 1);
-  const std::vector<int> counts = RandomNodeCounts(&rng);
+  EnumeratorOptions enumerator;
+  enumerator.node_counts = RandomNodeCounts(&rng);
   std::atomic<size_t> calls{0};
   const MultiObjectiveOptimizer::BatchCostPredictor batch =
       [&calls](const Matrix& features, Matrix* costs) -> Status {
@@ -262,7 +354,7 @@ TEST_P(MoqpPropertyTest, BadWeightsFailBeforeAnyPredictorCall) {
     for (size_t shards : kShardCounts) {
       const MultiObjectiveOptimizer optimizer(
           &space.federation, &space.catalog,
-          Options(algorithm, counts, shards, 7));
+          Options(algorithm, enumerator, shards, 7));
       for (const QueryPolicy& policy : bad) {
         EXPECT_EQ(optimizer.Optimize(space.query, batch, policy)
                       .status()
@@ -295,15 +387,17 @@ TEST_P(MoqpPropertyTest, FailingPerPlanPredictorReportsSerialFirstError) {
   enumerator_options.node_counts = counts;
   const PlanEnumerator enumerator(&space.federation, &space.catalog,
                                   enumerator_options);
+  const std::shared_ptr<const PlanSpace> plan_space =
+      enumerator.Resolve(space.query).ValueOrDie();
   const std::vector<EnumerationShard> partition =
-      enumerator.PartitionShards(space.query, 4).ValueOrDie();
-  ASSERT_FALSE(partition[2].strata.empty());
-  ASSERT_FALSE(partition[3].strata.empty());
-  const EnumerationShard::Stratum& last = partition[3].strata.back();
-  const uint64_t fail_a = partition[2].strata.front().seq_base;
+      plan_space->PartitionShards(4).ValueOrDie();
+  ASSERT_FALSE(partition[2].strata().empty());
+  ASSERT_FALSE(partition[3].strata().empty());
+  const EnumerationShard::Stratum& last = partition[3].strata().back();
+  const uint64_t fail_a = partition[2].strata().front().seq_base;
   const uint64_t fail_b = last.seq_base + last.feasible - 1;
   const std::vector<QueryPlan> failing =
-      enumerator.Materialize(space.query, {fail_a, fail_b}).ValueOrDie();
+      plan_space->Materialize({fail_a, fail_b}).ValueOrDie();
   const std::string plan_a = failing[0].ToString();
   const std::string plan_b = failing[1].ToString();
   const auto predictor = [&](const QueryPlan& plan) -> StatusOr<Vector> {
@@ -321,7 +415,7 @@ TEST_P(MoqpPropertyTest, FailingPerPlanPredictorReportsSerialFirstError) {
       for (size_t chunk : kChunkSizes) {
         const MultiObjectiveOptimizer optimizer(
             &space.federation, &space.catalog,
-            Options(algorithm, counts, shards, chunk));
+            Options(algorithm, enumerator_options, shards, chunk));
         const Status status =
             optimizer.Optimize(space.query, predictor, policy).status();
         EXPECT_EQ(status.code(), StatusCode::kInternal);

@@ -74,6 +74,8 @@ MidasSystem MakeSystem(const Config& config, size_t shards) {
 // plans and Algorithm 2's choice.
 struct Reference {
   size_t candidates = 0;
+  /// Distinct feature rows among the candidates.
+  size_t distinct_rows = 0;
   std::vector<Vector> front;
   std::vector<std::string> plans;
   size_t chosen = 0;
@@ -87,9 +89,11 @@ Reference Replay(MidasSystem& system, const EstimatorSnapshot& snapshot,
   const std::vector<QueryPlan> plans =
       enumerator.EnumeratePhysical(query).ValueOrDie();
   std::vector<Vector> costs(plans.size());
+  std::unordered_set<Vector, VectorHash> rows;
   for (size_t i = 0; i < plans.size(); ++i) {
     const Vector features =
         ExtractFeatures(system.federation(), plans[i]).ValueOrDie();
+    rows.insert(features);
     costs[i] = system.modelling()
                    .Predict(snapshot, scope, features,
                             system.options().estimator)
@@ -97,6 +101,7 @@ Reference Replay(MidasSystem& system, const EstimatorSnapshot& snapshot,
   }
   Reference reference;
   reference.candidates = plans.size();
+  reference.distinct_rows = rows.size();
   std::unordered_set<Vector, VectorHash> seen;
   for (size_t idx : ParetoFrontIndices(costs, /*threads=*/1)) {
     if (!seen.insert(costs[idx]).second) continue;
@@ -107,9 +112,12 @@ Reference Replay(MidasSystem& system, const EstimatorSnapshot& snapshot,
   return reference;
 }
 
+// The served path costs one row per distinct feature row; the per-plan
+// path costs every candidate.
 void ExpectMatchesReplay(const MoqpResult& result, const Reference& reference,
-                         const std::string& label) {
+                         size_t rows_costed, const std::string& label) {
   EXPECT_EQ(result.candidates_examined, reference.candidates) << label;
+  EXPECT_EQ(result.rows_costed, rows_costed) << label;
   EXPECT_EQ(result.pareto_costs, reference.front) << label;
   EXPECT_EQ(result.chosen, reference.chosen) << label;
   ASSERT_EQ(result.pareto_plans.size(), reference.plans.size()) << label;
@@ -152,18 +160,62 @@ TEST(ServingPathEquivalenceTest, OptimizeQueryMatchesPerPlanPredictor) {
           auto served = system.OptimizeQuery(
               snapshot, QueryRequest{scope, query, policies[p]});
           ASSERT_TRUE(served.ok()) << label << served.status().ToString();
-          ExpectMatchesReplay(served->moqp, reference, label);
+          ExpectMatchesReplay(served->moqp, reference,
+                              reference.distinct_rows, label);
           EXPECT_EQ(served->predicted, reference.front[reference.chosen])
               << label;
           EXPECT_EQ(served->moqp.snapshot_epoch, snapshot->epoch()) << label;
           auto optimized =
               per_plan_optimizer.Optimize(query, per_plan, policies[p]);
           ASSERT_TRUE(optimized.ok()) << label;
-          ExpectMatchesReplay(*optimized, reference, label + " per-plan");
+          ExpectMatchesReplay(*optimized, reference, reference.candidates,
+                              label + " per-plan");
         }
         // Grow the history so the next round fits another window.
         ASSERT_TRUE(system.RunQuery(scope, query, policies[round]).ok());
       }
+    }
+  }
+}
+
+// The served shapes of the end-to-end benchmark: Example 2.1 on the paper
+// federation at VM counts {1,2,4,8} and 1-8, and on the three-cloud
+// federation at 1-16. Only leader strata reach the predictor: one row per
+// distinct feature row.
+TEST(ServingPathEquivalenceTest, ServedShapesCostEachDistinctRowOnce) {
+  const QueryPlan query = MakeExample21Query().ValueOrDie();
+  struct Shape {
+    Config config;
+    size_t candidates;
+    size_t rows_costed;
+  };
+  const std::vector<Shape> shapes = {
+      {{false, {1, 2, 4, 8}, 0}, 96, 16},
+      {{false, {1, 2, 3, 4, 5, 6, 7, 8}, 2}, 384, 64},
+      {{true,
+        {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
+        2},
+       8960,
+       2176},
+  };
+  const std::string scope = "s";
+  QueryPolicy policy;
+  policy.weights = {0.5, 0.5};
+  for (const Shape& shape : shapes) {
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      MidasSystem system = MakeSystem(shape.config, shards);
+      ASSERT_TRUE(system.Bootstrap(scope, query, 20).ok());
+      const auto snapshot = system.modelling().Snapshot();
+      const std::string label = std::to_string(shape.candidates) +
+                                " shards=" + std::to_string(shards);
+      const Reference reference =
+          Replay(system, *snapshot, scope, query, policy);
+      EXPECT_EQ(reference.candidates, shape.candidates) << label;
+      EXPECT_EQ(reference.distinct_rows, shape.rows_costed) << label;
+      auto served =
+          system.OptimizeQuery(snapshot, QueryRequest{scope, query, policy});
+      ASSERT_TRUE(served.ok()) << label << served.status().ToString();
+      ExpectMatchesReplay(served->moqp, reference, shape.rows_costed, label);
     }
   }
 }

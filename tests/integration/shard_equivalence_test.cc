@@ -115,20 +115,21 @@ TEST(ShardEquivalenceTest, ShardedStreamingMatchesSerialStreaming) {
         ASSERT_TRUE(result.ok()) << label;
         ExpectSameResult(*baseline, *result, label);
 
-        // Per-shard stats: one row per shard, examined sums to the total,
-        // peaks sum to the aggregate, and the fronts cannot be larger than
-        // the shard's own candidate slice.
+        // Per-shard stats: one row per shard, costed rows sum to the
+        // total, peaks sum to the aggregate, and the fronts cannot be
+        // larger than the shard's own row slice.
         ASSERT_EQ(result->shard_stats.size(), shards) << label;
-        uint64_t examined = 0;
+        uint64_t costed = 0;
         size_t peak = 0;
         for (size_t s = 0; s < result->shard_stats.size(); ++s) {
           const MoqpShardStats& stats = result->shard_stats[s];
           EXPECT_EQ(stats.shard, s) << label;
-          examined += stats.candidates_examined;
+          costed += stats.rows_costed;
           peak += stats.peak_resident_candidates;
-          EXPECT_LE(stats.front_size, stats.candidates_examined) << label;
+          EXPECT_LE(stats.front_size, stats.rows_costed) << label;
         }
-        EXPECT_EQ(examined, result->candidates_examined) << label;
+        EXPECT_EQ(costed, result->rows_costed) << label;
+        EXPECT_EQ(result->rows_costed, baseline->rows_costed) << label;
         EXPECT_EQ(peak, result->peak_resident_candidates) << label;
       }
     }

@@ -1,6 +1,10 @@
 #include "ires/modelling.h"
 
+#include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -188,6 +192,89 @@ TEST(ModellingTest, PredictBatchMatchesScalarForAllEstimators) {
           EXPECT_EQ(batch->At(i, k), scalar[k]);
         } else {
           MIDAS_EXPECT_SIMD_EQ(batch->At(i, k), scalar[k]);
+        }
+      }
+    }
+  }
+}
+
+// The contract the optimizer's chunking and alias copies rely on: a batch
+// prediction is a pure function of each feature row. Every row must come
+// out bit for bit the same in the full batch, alone in a 1-row batch and
+// at another position of a permuted batch, for DREAM and both BML windows,
+// over histories where least squares, bagged trees or the MLP win BML's
+// selection.
+TEST(ModellingTest, PredictBatchIsRowExact) {
+  const std::vector<std::string> features = {"data_mib_A", "nodes_A",
+                                             "data_mib_B", "nodes_B"};
+  for (int shape = 0; shape < 3; ++shape) {
+    Modelling modelling(features, {"seconds", "dollars"});
+    Rng rng(900 + shape);
+    for (int i = 0; i < 60; ++i) {
+      Observation obs;
+      obs.timestamp = i;
+      const double a = rng.Uniform(10, 400);
+      const double na = static_cast<double>(1 + rng.Index(8));
+      const double b = rng.Uniform(10, 400);
+      const double nb = static_cast<double>(1 + rng.Index(8));
+      obs.features = {a, na, b, nb};
+      double seconds = 0.0;
+      switch (shape) {
+        case 0:  // linear: least squares fits it
+          seconds = 20.0 + 0.3 * a / na + 0.2 * b + rng.Gaussian(0, 0.5);
+          break;
+        case 1:  // steps: a tree fits it
+          seconds = (a > 200 ? 90.0 : 30.0) + (nb > 4 ? -10.0 : 5.0);
+          break;
+        default:  // smooth and saturating
+          seconds = 100.0 * std::tanh((a - 200.0) / 80.0) + 3.0 * na +
+                    rng.Gaussian(0, 0.2);
+      }
+      obs.costs = {seconds, 0.001 * (na + nb) * (1.0 + a / 400.0)};
+      modelling.Record("q", std::move(obs)).CheckOK();
+    }
+    std::vector<Vector> rows;
+    for (int i = 0; i < 37; ++i) {
+      rows.push_back({rng.Uniform(0, 450), static_cast<double>(1 + i % 8),
+                      rng.Uniform(0, 450), static_cast<double>(1 + i % 5)});
+    }
+    std::vector<size_t> perm(rows.size());
+    for (size_t i = 0; i < perm.size(); ++i) perm[i] = perm.size() - 1 - i;
+    for (size_t i = perm.size(); i > 1; --i) {
+      std::swap(perm[i - 1], perm[rng.Index(i)]);
+    }
+    std::vector<Vector> permuted_rows;
+    for (size_t i : perm) permuted_rows.push_back(rows[i]);
+    const Matrix x = Matrix::FromRows(rows).ValueOrDie();
+    const Matrix permuted = Matrix::FromRows(permuted_rows).ValueOrDie();
+
+    const auto snapshot = modelling.Snapshot();
+    for (const EstimatorConfig& config :
+         {EstimatorConfig::DreamDefault(),
+          EstimatorConfig::Bml(WindowPolicy::kLastN),
+          EstimatorConfig::Bml(WindowPolicy::kAll)}) {
+      SCOPED_TRACE("shape " + std::to_string(shape) + " " +
+                   EstimatorName(config));
+      const Matrix full =
+          modelling.PredictBatch(*snapshot, "q", x, config).ValueOrDie();
+      const Matrix shuffled =
+          modelling.PredictBatch(*snapshot, "q", permuted, config)
+              .ValueOrDie();
+      ASSERT_EQ(full.rows(), rows.size());
+      for (size_t r = 0; r < rows.size(); ++r) {
+        const Matrix one =
+            modelling
+                .PredictBatch(*snapshot, "q",
+                              Matrix::FromRows({rows[r]}).ValueOrDie(), config)
+                .ValueOrDie();
+        for (size_t k = 0; k < full.cols(); ++k) {
+          EXPECT_EQ(one.At(0, k), full.At(r, k)) << "row " << r;
+        }
+      }
+      for (size_t i = 0; i < perm.size(); ++i) {
+        for (size_t k = 0; k < full.cols(); ++k) {
+          EXPECT_EQ(shuffled.At(i, k), full.At(perm[i], k))
+              << "row " << perm[i] << " at " << i;
         }
       }
     }
