@@ -17,10 +17,16 @@
 #
 # The snapshot suites ride the same discovery: the snapshot concurrency
 # suite (readers at 1/4/16 threads pinning epochs against live writers) is
-# race-checked under the tsan preset by default, and the
-# TrainingWindow use-after-mutation death tests arm themselves in the
-# asan/tsan builds (MIDAS_TRAINING_WINDOW_CHECKS; GCC exposes no UBSan
-# detection macro, so the pure-ubsan preset skips them).
+# race-checked under the tsan preset by default, and so are the
+# optimizer's plan-space memo suites:
+# PlanSpaceMemoConcurrencyTest.ThreadsOverMoreVariantsThanTheMemoHolds
+# (OptimizeQuery threads admitting, sharing and evicting spaces over more
+# logical plans than the memo holds, against a serial run) and
+# ServeStressTest.TenantsOnSeveralLogicalPlansReplayBitIdentical (service
+# slots sharing the memo over three logical plans, against a serial
+# replay). The TrainingWindow use-after-mutation death tests arm
+# themselves in the asan/tsan builds (MIDAS_TRAINING_WINDOW_CHECKS; GCC
+# exposes no UBSan detection macro, so the pure-ubsan preset skips them).
 #
 # The force-scalar preset compiles the SIMD vector tiers out entirely
 # (MIDAS_FORCE_SCALAR=ON) and reruns the whole suite, so the bitwise

@@ -54,18 +54,70 @@ MultiObjectiveOptimizer::MultiObjectiveOptimizer(const Federation* federation,
       catalog_(catalog),
       options_(std::move(options)) {}
 
+StatusOr<std::shared_ptr<const PlanSpace>>
+MultiObjectiveOptimizer::FeatureSpace(const QueryPlan& logical) const {
+  const uint64_t hash = HashPlan(logical);
+  const auto find = [&]() -> MemoEntry* {
+    for (MemoEntry& entry : memo_) {
+      if (entry.hash == hash && IdenticalPlans(entry.logical, logical)) {
+        entry.last_used = ++memo_clock_;
+        return &entry;
+      }
+    }
+    return nullptr;
+  };
+  bool admit = false;
+  {
+    std::lock_guard<std::mutex> lock(memo_mutex_);
+    if (const MemoEntry* hit = find()) return hit->space;
+    admit = std::find(unadmitted_.begin(), unadmitted_.end(), hash) !=
+            unadmitted_.end();
+    if (!admit) {
+      unadmitted_.push_back(hash);
+      if (unadmitted_.size() > kPlanSpaceMemoCapacity) unadmitted_.pop_front();
+    }
+  }
+  // Resolved outside the lock, so misses on different plans run in
+  // parallel. A template's key is its feature row: a candidate's row is a
+  // function of that row and its pick's VM counts (CandidateFeaturesInto).
+  const PlanEnumerator enumerator(federation_, catalog_, options_.enumerator);
+  MIDAS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PlanSpace> space,
+      enumerator.Resolve(logical, [this](const QueryPlan& plan_template) {
+        return ExtractFeatures(*federation_, plan_template);
+      }));
+  // A first sighting is not admitted: its space dies with the caller's
+  // query, as it would without the memo, instead of evicting a space.
+  if (!admit) return space;
+  MemoEntry admitted{hash, logical, std::move(space), 0};
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  // Another thread may have admitted the same plan meanwhile: every
+  // caller then shares the first space.
+  if (const MemoEntry* hit = find()) return hit->space;
+  admitted.last_used = ++memo_clock_;
+  if (memo_.size() < kPlanSpaceMemoCapacity) {
+    memo_.push_back(std::move(admitted));
+    return memo_.back().space;
+  }
+  MemoEntry& victim = *std::min_element(
+      memo_.begin(), memo_.end(), [](const MemoEntry& a, const MemoEntry& b) {
+        return a.last_used < b.last_used;
+      });
+  // The victim lands in `admitted`, which is destroyed after the lock.
+  std::swap(victim, admitted);
+  return victim.space;
+}
+
 StatusOr<MoqpResult> MultiObjectiveOptimizer::Optimize(
     const QueryPlan& logical, const BatchCostPredictor& predictor,
     const QueryPolicy& policy) const {
   if (!predictor) return Status::InvalidArgument("null cost predictor");
+  MIDAS_RETURN_IF_ERROR(ValidatePolicy(policy));
   const size_t arity = policy.weights.size();
-  // A template's key is its feature row: a candidate's row is a function
-  // of that row and its pick's VM counts (CandidateFeaturesInto).
-  const TemplateKeyFn key = [this](const QueryPlan& plan_template) {
-    return ExtractFeatures(*federation_, plan_template);
-  };
-  return Run(logical, policy, key,
-             [&](const PlanSpace&, const CandidateChunk& chunk, Matrix* costs,
+  MIDAS_ASSIGN_OR_RETURN(std::shared_ptr<const PlanSpace> space,
+                         FeatureSpace(logical));
+  return Run(space, policy,
+             [&](const CandidateChunk& chunk, Matrix* costs,
                  size_t* failed_row) -> Status {
                Matrix features(chunk.size(), chunk.keys.front()->size());
                for (size_t i = 0; i < chunk.size(); ++i) {
@@ -90,14 +142,18 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::Optimize(
     const QueryPlan& logical, const CostPredictor& predictor,
     const QueryPolicy& policy) const {
   if (!predictor) return Status::InvalidArgument("null cost predictor");
+  MIDAS_RETURN_IF_ERROR(ValidatePolicy(policy));
   const size_t arity = policy.weights.size();
   // No key: the predictor reads the plan tree, so every candidate is
   // streamed and costed.
-  return Run(logical, policy, TemplateKeyFn(),
-             [&](const PlanSpace& space, const CandidateChunk& chunk,
-                 Matrix* costs, size_t* failed_row) -> Status {
+  const PlanEnumerator enumerator(federation_, catalog_, options_.enumerator);
+  MIDAS_ASSIGN_OR_RETURN(std::shared_ptr<const PlanSpace> space,
+                         enumerator.Resolve(logical));
+  return Run(space, policy,
+             [&](const CandidateChunk& chunk, Matrix* costs,
+                 size_t* failed_row) -> Status {
                MIDAS_ASSIGN_OR_RETURN(std::vector<QueryPlan> plans,
-                                      space.Materialize(chunk.seqs));
+                                      space->Materialize(chunk.seqs));
                costs->Resize(plans.size(), arity);
                for (size_t i = 0; i < plans.size(); ++i) {
                  *failed_row = i;
@@ -110,12 +166,8 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::Optimize(
 }
 
 StatusOr<MoqpResult> MultiObjectiveOptimizer::Run(
-    const QueryPlan& logical, const QueryPolicy& policy,
-    const TemplateKeyFn& key, const ChunkScorer& score) const {
-  MIDAS_RETURN_IF_ERROR(ValidatePolicy(policy));
-  const PlanEnumerator enumerator(federation_, catalog_, options_.enumerator);
-  MIDAS_ASSIGN_OR_RETURN(std::shared_ptr<const PlanSpace> space,
-                         enumerator.Resolve(logical, key));
+    const std::shared_ptr<const PlanSpace>& space, const QueryPolicy& policy,
+    const ChunkScorer& score) const {
   const size_t chunk_size = options_.stream_chunk_size == 0
                                 ? MoqpOptions().stream_chunk_size
                                 : options_.stream_chunk_size;
@@ -156,7 +208,7 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::Run(
                    : static_cast<size_t>(run.rows_costed);
           Matrix costs;
           size_t failed_row = 0;
-          const Status scored = score(*space, chunk, &costs, &failed_row);
+          const Status scored = score(chunk, &costs, &failed_row);
           if (!scored.ok()) {
             run.failed_seq = chunk.seqs[failed_row];
             return scored;

@@ -1,7 +1,11 @@
 #ifndef MIDAS_IRES_MOO_OPTIMIZER_H_
 #define MIDAS_IRES_MOO_OPTIMIZER_H_
 
+#include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "federation/federation.h"
@@ -114,8 +118,8 @@ struct MoqpResult {
 /// multi-metric cost, find the Pareto plan set, and select the final plan
 /// with BestInPareto (Algorithm 2) under the user policy.
 ///
-/// Every Optimize call runs one pipeline. The plan space is resolved once
-/// (PlanEnumerator::Resolve) and partitioned into MoqpOptions::shards
+/// Every Optimize call runs one pipeline over one resolved plan space
+/// (PlanEnumerator::Resolve), partitioned into MoqpOptions::shards
 /// shards whose candidate streams (EnumerationShard::StreamCandidates)
 /// are costed a chunk at a time into cost rows keyed by each candidate's
 /// sequence number (its EnumeratePhysical index). kExhaustivePareto folds
@@ -127,8 +131,25 @@ struct MoqpResult {
 /// is costed and in what the space is keyed by: the feature-row pipeline
 /// keys each template by its feature row, so only leader strata are
 /// streamed and an alias stratum's rows are copies of its leader's.
+///
+/// The feature-row pipeline takes its space from a bounded memo
+/// (FeatureSpace), so a repeated logical plan is resolved once per
+/// optimizer while the memo holds it. That is sound because a resolved
+/// space is immutable and a pure function of the logical plan, the
+/// federation, the catalog, the enumerator options and the
+/// ExtractFeatures key. The federation, the catalog and the options may
+/// therefore not change while an optimizer lives. Optimize(CostPredictor)
+/// resolves its unkeyed space on every call, as the independent
+/// reference.
 class MultiObjectiveOptimizer {
  public:
+  /// Feature-keyed plan spaces one optimizer holds at most (FeatureSpace).
+  /// A plan that is not held is resolved on every call, and admitted on
+  /// its second sighting: when its hash is among the last
+  /// kPlanSpaceMemoCapacity hashes resolved without admission. Admitting
+  /// into a full memo evicts the least recently used space.
+  static constexpr size_t kPlanSpaceMemoCapacity = 16;
+
   /// Predicts the cost vector of one annotated physical plan. With either
   /// predictor kind, a non-finite cost fails the optimization
   /// (FailedPrecondition) instead of entering the Pareto front.
@@ -148,6 +169,21 @@ class MultiObjectiveOptimizer {
   MultiObjectiveOptimizer(const Federation* federation,
                           const Catalog* catalog,
                           MoqpOptions options = MoqpOptions());
+
+  MultiObjectiveOptimizer(const MultiObjectiveOptimizer&) = delete;
+  MultiObjectiveOptimizer& operator=(const MultiObjectiveOptimizer&) = delete;
+
+  /// The plan space of `logical` with each template keyed by its
+  /// ExtractFeatures row: the space Optimize(BatchCostPredictor) streams.
+  /// Memoised per logical plan, by exact structure (IdenticalPlans; the
+  /// plan is hashed once per call and compared in depth only on a hash
+  /// match): from a plan's admission (kPlanSpaceMemoCapacity) on, calls
+  /// return the same space until it is evicted. A resolve error is
+  /// returned as is and never memoised. Materialize on it builds the same
+  /// plans as on an unkeyed PlanEnumerator::Resolve, since keys only alias
+  /// strata. Thread-safe.
+  StatusOr<std::shared_ptr<const PlanSpace>> FeatureSpace(
+      const QueryPlan& logical) const;
 
   /// Feature-row pipeline (the served path): each chunk's feature rows go
   /// to `predictor` in one call, no plan is built for a candidate outside
@@ -173,24 +209,36 @@ class MultiObjectiveOptimizer {
                                 const QueryPolicy& policy) const;
 
  private:
-  /// Costs one chunk of the candidate stream of `space` into *costs, one
-  /// row per candidate in chunk order and one column per policy metric,
-  /// with the rows passing the shared arity and finiteness checks. On
-  /// failure *failed_row is the chunk row whose candidate failed (0 when
-  /// the whole chunk failed at once).
-  using ChunkScorer =
-      std::function<Status(const PlanSpace& space, const CandidateChunk& chunk,
-                           Matrix* costs, size_t* failed_row)>;
+  /// Costs one chunk of the candidate stream into *costs, one row per
+  /// candidate in chunk order and one column per policy metric, with the
+  /// rows passing the shared arity and finiteness checks. On failure
+  /// *failed_row is the chunk row whose candidate failed (0 when the whole
+  /// chunk failed at once).
+  using ChunkScorer = std::function<Status(
+      const CandidateChunk& chunk, Matrix* costs, size_t* failed_row)>;
 
   /// The pipeline every Optimize runs (see the class comment), over the
-  /// plan space resolved with `key`.
-  StatusOr<MoqpResult> Run(const QueryPlan& logical,
-                           const QueryPolicy& policy, const TemplateKeyFn& key,
+  /// resolved `space`, for a policy that passed ValidatePolicy.
+  StatusOr<MoqpResult> Run(const std::shared_ptr<const PlanSpace>& space,
+                           const QueryPolicy& policy,
                            const ChunkScorer& score) const;
+
+  /// One memoised space, with the logical plan it was resolved from.
+  struct MemoEntry {
+    uint64_t hash = 0;
+    QueryPlan logical;
+    std::shared_ptr<const PlanSpace> space;
+    uint64_t last_used = 0;
+  };
 
   const Federation* federation_;
   const Catalog* catalog_;
   MoqpOptions options_;
+  mutable std::mutex memo_mutex_;  // guards the three fields below
+  mutable std::vector<MemoEntry> memo_;  // at most kPlanSpaceMemoCapacity
+  mutable uint64_t memo_clock_ = 0;      // stamps MemoEntry::last_used
+  /// Hashes of the plans last resolved without admission, oldest first.
+  mutable std::deque<uint64_t> unadmitted_;
 };
 
 }  // namespace midas

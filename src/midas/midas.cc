@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ires/features.h"
-#include "query/enumerator.h"
 
 namespace midas {
 
@@ -27,15 +26,15 @@ MidasSystem::MidasSystem(Federation federation, Catalog catalog,
 
 Status MidasSystem::Bootstrap(const std::string& scope,
                               const QueryPlan& logical, size_t runs) {
-  PlanEnumerator enumerator(&federation_, &catalog_,
-                            options_.moqp.enumerator);
   // Draw the picks as sequence numbers over the whole plan space and build
   // only those plans: the same draws and plans as picking from the
-  // EnumeratePhysical list, without enumerating it. Plans are built and
-  // run a chunk at a time, so a long bootstrap holds at most kChunk plans
-  // at once.
+  // EnumeratePhysical list, without enumerating it. The space is the
+  // optimizer's memoised feature-keyed one, which RunQuery then reuses;
+  // keys only alias strata, so it materializes the same plans as an
+  // unkeyed space. Plans are built and run a chunk at a time, so a long
+  // bootstrap holds at most kChunk plans at once.
   MIDAS_ASSIGN_OR_RETURN(std::shared_ptr<const PlanSpace> space,
-                         enumerator.Resolve(logical));
+                         optimizer_->FeatureSpace(logical));
   std::vector<uint64_t> picks(runs);
   for (uint64_t& pick : picks) pick = rng_.Index(space->size());
   constexpr size_t kChunk = 64;

@@ -272,26 +272,32 @@ StatusOr<std::shared_ptr<const PlanSpace>> PlanEnumerator::Resolve(
   const size_t n_computes = space->computes_.size();
 
   // One template (and key) per group that emits a plan. Strata of one
-  // group are adjacent in index order. A group's leader is the first
-  // earlier group with an equal site spec and a bitwise-equal key; by
-  // transitivity that group is a leader itself.
+  // group are adjacent in index order, and so are the groups of one
+  // variant. Cardinalities read no physical annotation, so each variant is
+  // estimated once, before its first group copies it. A group's leader is
+  // the first earlier group with an equal site spec and a bitwise-equal
+  // key; by transitivity that group is a leader itself.
   space->groups_.resize(variants.size() * n_computes);
   std::vector<size_t> leader_of(space->groups_.size());
   std::vector<size_t> leaders;
   size_t last_group = std::numeric_limits<size_t>::max();
+  size_t last_variant = std::numeric_limits<size_t>::max();
   for (const PlanSpace::Stratum& stratum : space->strata_) {
     const size_t g = stratum.index / n_counts;
     if (g == last_group) continue;
     last_group = g;
+    const size_t v = g / n_computes;
+    if (v != last_variant) {
+      last_variant = v;
+      MIDAS_RETURN_IF_ERROR(EstimateCardinalities(*catalog_, &variants[v]));
+    }
     PlanSpace::Group& group = space->groups_[g];
     const PlanSpace::Compute& compute = space->computes_[g % n_computes];
-    group.plan_template = variants[g / n_computes];
+    group.plan_template = variants[v];
     MIDAS_RETURN_IF_ERROR(AnnotateNode(group.plan_template.mutable_root(),
                                        space->placements_, compute.site,
                                        compute.engine,
                                        [](SiteId) { return 1; }));
-    MIDAS_RETURN_IF_ERROR(
-        EstimateCardinalities(*catalog_, &group.plan_template));
     leader_of[g] = g;
     if (!key) continue;
     MIDAS_ASSIGN_OR_RETURN(group.key, key(group.plan_template));

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <utility>
@@ -241,6 +243,100 @@ QueryPlan& QueryPlan::operator=(const QueryPlan& other) {
 
 namespace {
 
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+bool SameBits(const std::optional<double>& a, const std::optional<double>& b) {
+  return a.has_value() == b.has_value() && (!a || Bits(*a) == Bits(*b));
+}
+
+bool IdenticalNodes(const PlanNode& a, const PlanNode& b) {
+  if (a.kind != b.kind || a.table != b.table ||
+      Bits(a.scan_fraction) != Bits(b.scan_fraction) ||
+      a.predicates.size() != b.predicates.size() || a.columns != b.columns ||
+      a.left_join_column != b.left_join_column ||
+      a.right_join_column != b.right_join_column ||
+      !SameBits(a.join_selectivity_override, b.join_selectivity_override) ||
+      a.num_groups != b.num_groups || a.site != b.site ||
+      a.engine != b.engine || a.num_nodes != b.num_nodes ||
+      Bits(a.output_rows) != Bits(b.output_rows) ||
+      Bits(a.output_bytes) != Bits(b.output_bytes) ||
+      a.children.size() != b.children.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.predicates.size(); ++i) {
+    const Predicate& pa = a.predicates[i];
+    const Predicate& pb = b.predicates[i];
+    if (pa.column != pb.column || pa.op != pb.op ||
+        !SameBits(pa.selectivity_override, pb.selectivity_override)) {
+      return false;
+    }
+  }
+  for (size_t i = 0; i < a.children.size(); ++i) {
+    if (!IdenticalNodes(*a.children[i], *b.children[i])) return false;
+  }
+  return true;
+}
+
+// Order-sensitive 64-bit combine (boost::hash_combine's mixing step).
+void Mix(uint64_t* hash, uint64_t value) {
+  *hash ^= value + 0x9e3779b97f4a7c15ULL + (*hash << 6) + (*hash >> 2);
+}
+
+void Mix(uint64_t* hash, const std::string& value) {
+  Mix(hash, std::hash<std::string>()(value));
+}
+
+// An absent value mixes in a NaN payload no arithmetic produces, so it is
+// unlikely to collide with a present one.
+void Mix(uint64_t* hash, const std::optional<double>& value) {
+  Mix(hash, value.has_value() ? Bits(*value) : 0x7ff4000000000001ULL);
+}
+
+void HashNode(const PlanNode& node, uint64_t* hash) {
+  Mix(hash, static_cast<uint64_t>(node.kind));
+  Mix(hash, node.table);
+  Mix(hash, Bits(node.scan_fraction));
+  for (const Predicate& p : node.predicates) {
+    Mix(hash, p.column);
+    Mix(hash, static_cast<uint64_t>(p.op));
+    Mix(hash, p.selectivity_override);
+  }
+  Mix(hash, node.predicates.size());
+  for (const std::string& column : node.columns) Mix(hash, column);
+  Mix(hash, node.columns.size());
+  Mix(hash, node.left_join_column);
+  Mix(hash, node.right_join_column);
+  Mix(hash, node.join_selectivity_override);
+  Mix(hash, node.num_groups);
+  Mix(hash, node.site.has_value() ? *node.site + 1 : 0);
+  Mix(hash, node.engine.has_value() ? static_cast<uint64_t>(*node.engine) + 1
+                                    : 0);
+  Mix(hash, static_cast<uint64_t>(static_cast<int64_t>(node.num_nodes)));
+  Mix(hash, Bits(node.output_rows));
+  Mix(hash, Bits(node.output_bytes));
+  for (const auto& child : node.children) HashNode(*child, hash);
+  Mix(hash, node.children.size());
+}
+
+}  // namespace
+
+bool IdenticalPlans(const QueryPlan& a, const QueryPlan& b) {
+  if (a.empty() || b.empty()) return a.empty() == b.empty();
+  return IdenticalNodes(*a.root(), *b.root());
+}
+
+uint64_t HashPlan(const QueryPlan& plan) {
+  uint64_t hash = 0;
+  if (!plan.empty()) HashNode(*plan.root(), &hash);
+  return hash;
+}
+
+namespace {
+
 void CollectPreOrder(const PlanNode* node,
                      std::vector<const PlanNode*>* out) {
   if (node == nullptr) return;
@@ -461,13 +557,17 @@ const TableDef* FindProvidingTable(const Catalog& catalog,
   return nullptr;
 }
 
+// True for a selectivity in [0, 1]; false for NaN.
+bool IsSelectivity(double s) { return s >= 0.0 && s <= 1.0; }
+
 StatusOr<NodeStats> EstimateNode(const Catalog& catalog, PlanNode* node) {
   NodeStats stats;
   switch (node->kind) {
     case OperatorKind::kScan: {
       MIDAS_ASSIGN_OR_RETURN(const TableDef* table,
                              catalog.Find(node->table));
-      if (node->scan_fraction <= 0.0 || node->scan_fraction > 1.0) {
+      // Written so that a NaN fraction fails too.
+      if (!(node->scan_fraction > 0.0 && node->scan_fraction <= 1.0)) {
         return Status::InvalidArgument("scan_fraction outside (0, 1]");
       }
       stats.rows = static_cast<double>(table->row_count) *
@@ -486,6 +586,10 @@ StatusOr<NodeStats> EstimateNode(const Catalog& catalog, PlanNode* node) {
           return Status::NotFound("filter column unresolvable: " + p.column);
         }
         if (p.selectivity_override.has_value()) {
+          if (!IsSelectivity(*p.selectivity_override)) {
+            return Status::InvalidArgument(
+                "selectivity override outside [0, 1]");
+          }
           selectivity *= *p.selectivity_override;
         } else {
           MIDAS_ASSIGN_OR_RETURN(double s, EstimateSelectivity(*table, p));
@@ -522,6 +626,10 @@ StatusOr<NodeStats> EstimateNode(const Catalog& catalog, PlanNode* node) {
       double selectivity;
       if (node->join_selectivity_override.has_value()) {
         selectivity = *node->join_selectivity_override;
+        if (!IsSelectivity(selectivity)) {
+          return Status::InvalidArgument(
+              "join selectivity override outside [0, 1]");
+        }
       } else {
         const double ndv_l =
             FindColumnNdv(catalog, *node->children[0], node->left_join_column);

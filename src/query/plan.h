@@ -70,7 +70,8 @@ struct PlanNode {
   /// Copies the node's payload and annotations but none of its children —
   /// for callers (e.g. the enumerator's commutation recursion) that
   /// rebuild the child list themselves instead of paying for a deep copy
-  /// they would immediately discard.
+  /// they would immediately discard. Like IdenticalPlans and HashPlan, it
+  /// reads every field: a new field belongs in all three.
   std::unique_ptr<PlanNode> CloneShallow() const;
 };
 
@@ -141,8 +142,20 @@ StatusOr<QueryPlan> Combine(QueryPlan p1, QueryPlan p2, OperatorKind op,
 /// Fills output_rows / output_bytes for every node bottom-up using System-R
 /// style estimation: scans read the full table, filters apply conjunction
 /// selectivity, joins use 1/max(NDV) (or the override), aggregates emit
-/// num_groups rows, projects scale width by retained columns.
+/// num_groups rows, projects scale width by retained columns. A
+/// scan_fraction outside (0, 1], or a filter or join selectivity override
+/// outside [0, 1], NaN included, fails with InvalidArgument.
 Status EstimateCardinalities(const Catalog& catalog, QueryPlan* plan);
+
+/// Exact structural identity: every PlanNode and Predicate field is equal,
+/// children in order, and doubles (optional ones included) are compared
+/// bitwise, so 0.0 and -0.0 differ and a NaN equals its own bits. Two
+/// empty plans are identical.
+bool IdenticalPlans(const QueryPlan& a, const QueryPlan& b);
+
+/// A hash over the fields IdenticalPlans compares: identical plans hash
+/// equal.
+uint64_t HashPlan(const QueryPlan& plan);
 
 }  // namespace midas
 

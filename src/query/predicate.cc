@@ -30,7 +30,7 @@ StatusOr<double> EstimateSelectivity(const TableDef& table,
                                      const Predicate& predicate) {
   if (predicate.selectivity_override.has_value()) {
     const double s = *predicate.selectivity_override;
-    if (s < 0.0 || s > 1.0) {
+    if (!(s >= 0.0 && s <= 1.0)) {  // NaN fails too
       return Status::InvalidArgument("selectivity override outside [0, 1]");
     }
     return s;

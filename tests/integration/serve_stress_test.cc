@@ -9,6 +9,9 @@
 //     through a fresh identical MidasSystem::RunQuery reproduces every
 //     outcome bit for bit.
 //
+// Once with every tenant on Example 2.1, once with tenants bound to three
+// logical plans that the slots resolve through one plan-space memo.
+//
 // Runs under tsan via scripts/check.sh; sizes are chosen so the sanitizer
 // suite stays tolerable on small CI hosts.
 
@@ -16,6 +19,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,16 +56,22 @@ QueryPolicy PolicyFor(size_t tenant, size_t request) {
   return policy;
 }
 
-TEST(ServeStressTest, SixtyFourTenantsReplayBitIdentical) {
+// Serves every tenant's requests on `plans[t % plans.size()]` and checks
+// the three guarantees above.
+void ServeAndReplay(const std::vector<QueryPlan>& plans) {
+  const auto plan_of = [&plans](size_t t) -> const QueryPlan& {
+    return plans[t % plans.size()];
+  };
   MidasSystem served_system = MakeSystem();
   MidasSystem replay_system = MakeSystem();
-  QueryPlan query = MakeExample21Query().ValueOrDie();
   // Identical warm-up on both systems, in the same order.
   for (size_t t = 0; t < kTenants; ++t) {
-    ASSERT_TRUE(
-        served_system.Bootstrap(TenantName(t), query, kBootstrapRuns).ok());
-    ASSERT_TRUE(
-        replay_system.Bootstrap(TenantName(t), query, kBootstrapRuns).ok());
+    ASSERT_TRUE(served_system.Bootstrap(TenantName(t), plan_of(t),
+                                        kBootstrapRuns)
+                    .ok());
+    ASSERT_TRUE(replay_system.Bootstrap(TenantName(t), plan_of(t),
+                                        kBootstrapRuns)
+                    .ok());
   }
 
   ServeOptions options;
@@ -87,7 +97,7 @@ TEST(ServeStressTest, SixtyFourTenantsReplayBitIdentical) {
         for (size_t r = 0; r < kRequestsPerTenant; ++r) {
           auto submitted = service.Submit(
               TenantName(t),
-              QueryRequest{TenantName(t), query, PolicyFor(t, r)});
+              QueryRequest{TenantName(t), plan_of(t), PolicyFor(t, r)});
           ASSERT_TRUE(submitted.ok()) << submitted.status();
           futures.push_back(std::move(*submitted));
         }
@@ -135,7 +145,7 @@ TEST(ServeStressTest, SixtyFourTenantsReplayBitIdentical) {
     const auto [t, r] = who;
     const Served& served = *results[t][r];
     auto replayed =
-        replay_system.RunQuery(TenantName(t), query, PolicyFor(t, r));
+        replay_system.RunQuery(TenantName(t), plan_of(t), PolicyFor(t, r));
     ASSERT_TRUE(replayed.ok()) << replayed.status();
     SCOPED_TRACE("seq " + std::to_string(seq) + " tenant " +
                  std::to_string(t) + " request " + std::to_string(r));
@@ -156,6 +166,24 @@ TEST(ServeStressTest, SixtyFourTenantsReplayBitIdentical) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.admission.accepted, kTotal);
   EXPECT_EQ(stats.service_latency.count(), kTotal);
+}
+
+TEST(ServeStressTest, SixtyFourTenantsReplayBitIdentical) {
+  ServeAndReplay({MakeExample21Query().ValueOrDie()});
+}
+
+// Tenants bound to three logical plans: every slot asks the optimizer's
+// shared plan-space memo for all three while the replay stays exact.
+TEST(ServeStressTest, TenantsOnSeveralLogicalPlansReplayBitIdentical) {
+  std::vector<QueryPlan> plans;
+  plans.push_back(MakeExample21Query().ValueOrDie());
+  QueryPlan pruned = MakeExample21Query().ValueOrDie();
+  for (PlanNode* node : pruned.MutableNodes()) {
+    if (node->kind == OperatorKind::kScan) node->scan_fraction = 0.5;
+  }
+  plans.push_back(std::move(pruned));
+  plans.push_back(MakeImagingCohortQuery().ValueOrDie());
+  ServeAndReplay(plans);
 }
 
 }  // namespace

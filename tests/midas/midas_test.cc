@@ -1,5 +1,6 @@
 #include "midas/midas.h"
 
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -160,6 +161,71 @@ TEST(MidasSystemTest, NanR2RequirementFailsAndRecordsNothing) {
   EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument)
       << outcome.status().ToString();
   EXPECT_EQ(system.modelling().history().SizeOf("scope"), 16u);
+}
+
+TEST(MidasSystemTest, HostileCardinalityInputsFailBeforeAnyCandidate) {
+  // Each of these plans used to be served: a NaN scan fraction or join
+  // override failed only when its measurement was recorded, a negative
+  // join override failed in the simulator, and an override of 7.0 ran.
+  // Each now fails resolving the plan space, so Bootstrap and RunQuery
+  // execute and record nothing.
+  struct Case {
+    const char* what;
+    void (*edit)(PlanNode* node);
+  };
+  const Case cases[] = {
+      {"NaN scan_fraction",
+       [](PlanNode* n) {
+         if (n->kind == OperatorKind::kScan) n->scan_fraction = std::nan("");
+       }},
+      {"NaN join override",
+       [](PlanNode* n) {
+         if (n->kind == OperatorKind::kJoin) {
+           n->join_selectivity_override = std::nan("");
+         }
+       }},
+      {"negative join override",
+       [](PlanNode* n) {
+         if (n->kind == OperatorKind::kJoin) {
+           n->join_selectivity_override = -0.5;
+         }
+       }},
+      {"join override above 1",
+       [](PlanNode* n) {
+         if (n->kind == OperatorKind::kJoin) n->join_selectivity_override = 7.0;
+       }},
+      {"NaN filter override",
+       [](PlanNode* n) {
+         if (n->kind == OperatorKind::kJoin) {
+           n->children[0] =
+               MakeFilter(std::move(n->children[0]),
+                          {{"PatientSex", CompareOp::kEq, std::nan("")}});
+         }
+       }},
+  };
+  QueryPolicy policy;
+  policy.weights = {0.5, 0.5};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    MidasSystem system = MakeSystem();
+    const QueryPlan query = MakeExample21Query().ValueOrDie();
+    ASSERT_TRUE(system.Bootstrap("scope", query, 16).ok());
+    const int64_t clock = system.simulator().now();
+    QueryPlan hostile = query;
+    for (PlanNode* node : hostile.MutableNodes()) c.edit(node);
+    EXPECT_EQ(system
+                  .OptimizeQuery(system.modelling().Snapshot(),
+                                 QueryRequest{"scope", hostile, policy})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(system.Bootstrap("scope", hostile, 4).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(system.RunQuery("scope", hostile, policy).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(system.simulator().now(), clock) << "a plan was executed";
+    EXPECT_EQ(system.modelling().history().SizeOf("scope"), 16u);
+  }
 }
 
 TEST(MidasSystemTest, BmlEstimatorConfigurable) {

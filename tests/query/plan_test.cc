@@ -1,7 +1,11 @@
 #include "query/plan.h"
 
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -139,6 +143,46 @@ TEST(CardinalityTest, BadScanFractionRejected) {
   EXPECT_FALSE(EstimateCardinalities(catalog, &plan).ok());
 }
 
+TEST(CardinalityTest, NanScanFractionRejected) {
+  Catalog catalog = MakeCatalog();
+  auto scan = MakeScan("a");
+  scan->scan_fraction = std::nan("");
+  QueryPlan plan(std::move(scan));
+  EXPECT_EQ(EstimateCardinalities(catalog, &plan).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CardinalityTest, NanFilterOverrideRejected) {
+  Catalog catalog = MakeCatalog();
+  for (const double bad : {std::nan(""), -0.1, 1.5}) {
+    SCOPED_TRACE(bad);
+    Predicate p{"tag", CompareOp::kEq, bad};
+    QueryPlan plan(MakeFilter(MakeScan("b"), {p}));
+    EXPECT_EQ(EstimateCardinalities(catalog, &plan).code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(CardinalityTest, JoinOverrideOutsideUnitIntervalRejected) {
+  Catalog catalog = MakeCatalog();
+  for (const double bad :
+       {std::nan(""), -0.5, 7.0, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    auto join = MakeJoin(MakeScan("a"), MakeScan("b"), "id", "id");
+    join->join_selectivity_override = bad;
+    QueryPlan plan(std::move(join));
+    EXPECT_EQ(EstimateCardinalities(catalog, &plan).code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const double edge : {0.0, 1.0}) {
+    auto join = MakeJoin(MakeScan("a"), MakeScan("b"), "id", "id");
+    join->join_selectivity_override = edge;
+    QueryPlan plan(std::move(join));
+    ASSERT_TRUE(EstimateCardinalities(catalog, &plan).ok()) << edge;
+    EXPECT_EQ(plan.root()->output_rows, 1000.0 * 100.0 * edge);
+  }
+}
+
 TEST(CardinalityTest, FilterAppliesSelectivity) {
   Catalog catalog = MakeCatalog();
   Predicate p{"tag", CompareOp::kEq, std::nullopt};  // NDV 10 -> 0.1
@@ -205,6 +249,110 @@ TEST(CardinalityTest, SortPreservesCardinality) {
   QueryPlan plan(MakeSort(MakeScan("b")));
   ASSERT_TRUE(EstimateCardinalities(catalog, &plan).ok());
   EXPECT_DOUBLE_EQ(plan.root()->output_rows, 100.0);
+}
+
+QueryPlan RichPlan() {
+  auto filter = MakeFilter(MakeScan("b"), {{"tag", CompareOp::kEq, 0.5}});
+  auto join = MakeJoin(MakeScan("a"), std::move(filter), "id", "id");
+  auto project = MakeProject(std::move(join), {"payload", "tag"});
+  return QueryPlan(MakeAggregate(std::move(project), 4));
+}
+
+TEST(PlanIdentityTest, CopiesAreIdenticalAndHashEqual) {
+  const QueryPlan plan = RichPlan();
+  const QueryPlan copy = plan;
+  EXPECT_TRUE(IdenticalPlans(plan, copy));
+  EXPECT_EQ(HashPlan(plan), HashPlan(copy));
+  EXPECT_TRUE(IdenticalPlans(QueryPlan(), QueryPlan()));
+  EXPECT_FALSE(IdenticalPlans(plan, QueryPlan()));
+  EXPECT_FALSE(IdenticalPlans(QueryPlan(), plan));
+}
+
+PlanNode* NodeOf(QueryPlan* plan, OperatorKind kind) {
+  for (PlanNode* node : plan->MutableNodes()) {
+    if (node->kind == kind) return node;
+  }
+  return nullptr;
+}
+
+TEST(PlanIdentityTest, EveryFieldTells) {
+  using K = OperatorKind;
+  const std::pair<const char*, std::function<void(QueryPlan*)>> edits[] = {
+      {"kind",
+       [](QueryPlan* p) { NodeOf(p, K::kAggregate)->kind = K::kSort; }},
+      {"table", [](QueryPlan* p) { NodeOf(p, K::kScan)->table = "b"; }},
+      {"scan_fraction",
+       [](QueryPlan* p) {
+         NodeOf(p, K::kScan)->scan_fraction = std::nextafter(1.0, 0.0);
+       }},
+      {"predicate column",
+       [](QueryPlan* p) {
+         NodeOf(p, K::kFilter)->predicates[0].column = "id";
+       }},
+      {"predicate op",
+       [](QueryPlan* p) {
+         NodeOf(p, K::kFilter)->predicates[0].op = CompareOp::kNe;
+       }},
+      {"predicate override",
+       [](QueryPlan* p) {
+         NodeOf(p, K::kFilter)->predicates[0].selectivity_override.reset();
+       }},
+      {"predicate count",
+       [](QueryPlan* p) {
+         PlanNode* filter = NodeOf(p, K::kFilter);
+         filter->predicates.push_back(filter->predicates[0]);
+       }},
+      {"columns",
+       [](QueryPlan* p) { NodeOf(p, K::kProject)->columns.pop_back(); }},
+      {"left_join_column",
+       [](QueryPlan* p) { NodeOf(p, K::kJoin)->left_join_column = "payload"; }},
+      {"right_join_column",
+       [](QueryPlan* p) { NodeOf(p, K::kJoin)->right_join_column = "tag"; }},
+      {"join_selectivity_override",
+       [](QueryPlan* p) {
+         NodeOf(p, K::kJoin)->join_selectivity_override = 0.0;
+       }},
+      {"num_groups",
+       [](QueryPlan* p) { NodeOf(p, K::kAggregate)->num_groups = 5; }},
+      {"site", [](QueryPlan* p) { NodeOf(p, K::kJoin)->site = 0; }},
+      {"engine",
+       [](QueryPlan* p) { NodeOf(p, K::kJoin)->engine = EngineKind::kHive; }},
+      {"num_nodes", [](QueryPlan* p) { NodeOf(p, K::kJoin)->num_nodes = 2; }},
+      {"output_rows",
+       [](QueryPlan* p) { NodeOf(p, K::kJoin)->output_rows = -0.0; }},
+      {"output_bytes",
+       [](QueryPlan* p) { NodeOf(p, K::kJoin)->output_bytes = 1.0; }},
+      {"child order",
+       [](QueryPlan* p) {
+         PlanNode* join = NodeOf(p, K::kJoin);
+         std::swap(join->children[0], join->children[1]);
+       }},
+  };
+  const QueryPlan plan = RichPlan();
+  for (const auto& [field, edit] : edits) {
+    SCOPED_TRACE(field);
+    QueryPlan changed = plan;
+    edit(&changed);
+    EXPECT_FALSE(IdenticalPlans(plan, changed));
+    EXPECT_FALSE(IdenticalPlans(changed, plan));
+    EXPECT_NE(HashPlan(plan), HashPlan(changed));
+  }
+}
+
+TEST(PlanIdentityTest, DoublesCompareBitwise) {
+  auto nan_scan = [] {
+    auto scan = MakeScan("a");
+    scan->scan_fraction = std::nan("");
+    return QueryPlan(std::move(scan));
+  };
+  EXPECT_TRUE(IdenticalPlans(nan_scan(), nan_scan()));
+  EXPECT_EQ(HashPlan(nan_scan()), HashPlan(nan_scan()));
+  auto zero = [](double rows) {
+    auto scan = MakeScan("a");
+    scan->output_rows = rows;
+    return QueryPlan(std::move(scan));
+  };
+  EXPECT_FALSE(IdenticalPlans(zero(0.0), zero(-0.0)));
 }
 
 TEST(PlanToStringTest, RendersOperatorsAndAnnotations) {

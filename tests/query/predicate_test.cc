@@ -1,5 +1,7 @@
 #include "query/predicate.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 namespace midas {
@@ -53,6 +55,12 @@ TEST(SelectivityTest, OverrideOutsideUnitIntervalRejected) {
   EXPECT_FALSE(EstimateSelectivity(MakeTable(), p).ok());
   p.selectivity_override = -0.1;
   EXPECT_FALSE(EstimateSelectivity(MakeTable(), p).ok());
+}
+
+TEST(SelectivityTest, NanOverrideRejected) {
+  Predicate p{"status", CompareOp::kEq, std::nan("")};
+  EXPECT_EQ(EstimateSelectivity(MakeTable(), p).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SelectivityTest, UnknownColumnFails) {
