@@ -9,6 +9,11 @@
 // LatencyRecorders. Emits BENCH_serve.json; run via
 // scripts/bench_serve.sh.
 //
+// The submitters run at tenant_inflight_cap = 1, the tightest cap a
+// closed-loop client fits: a resubmission right after get() must find the
+// tenant's lane already free. The bench exits nonzero when any closed-loop
+// run records a rejection, which makes its --quick run a gate on that.
+//
 // Reading the numbers: the 1-tenant row is the apples-to-apples
 // overhead check against the serial baseline (same tenant, same history
 // growth) and should sit at ~1x. The 8/64-tenant rows can exceed serial
@@ -37,6 +42,7 @@ namespace {
 struct BenchConfig {
   double run_seconds = 1.0;
   size_t bootstrap_runs = 16;
+  size_t tenant_inflight_cap = 1;
   std::vector<size_t> tenant_counts = {1, 8, 64};
 };
 
@@ -125,7 +131,7 @@ RunResult ServiceRun(const BenchConfig& config, size_t tenants,
   ServeOptions options;
   options.slots = slots;
   options.queue_capacity = 2 * tenants + 8;
-  options.tenant_inflight_cap = 2;
+  options.tenant_inflight_cap = config.tenant_inflight_cap;
   QueryService service(&system, options);
 
   std::atomic<bool> stop{false};
@@ -143,8 +149,8 @@ RunResult ServiceRun(const BenchConfig& config, size_t tenants,
         auto submitted =
             service.Submit(tenant, QueryRequest{tenant, query, PolicyFor(k)});
         if (!submitted.ok()) {
-          // Closed-loop submitters cannot overrun their own in-flight
-          // cap, but count rejections anyway so misconfigurations show.
+          // A closed-loop submitter has nothing else in flight, so any
+          // rejection is a fault; the run fails on it.
           rejected.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
@@ -169,8 +175,7 @@ RunResult ServiceRun(const BenchConfig& config, size_t tenants,
   result.p95_ms = QuantileMs(stats.service_latency, 0.95);
   result.p99_ms = QuantileMs(stats.service_latency, 0.99);
   result.queue_p50_ms = QuantileMs(stats.queue_latency, 0.5);
-  result.rejected = stats.admission.rejected_capacity +
-                    stats.admission.rejected_tenant_cap + rejected.load();
+  result.rejected = rejected.load();  // every failed Submit, once
   return result;
 }
 
@@ -215,21 +220,23 @@ int Run(int argc, char** argv) {
       header, sizeof(header),
       "  \"hardware_concurrency\": %u,\n"
       "  \"slots\": %zu,\n"
-      "  \"tenant_inflight_cap\": 2,\n"
+      "  \"tenant_inflight_cap\": %zu,\n"
       "  \"bootstrap_runs\": %zu,\n"
       "  \"run_seconds\": %.2f,\n"
       "  \"quick\": %s,\n"
       "  \"unit\": \"queries_per_sec\",\n"
       "  \"serial_baseline\": {\"queries_per_sec\": %.1f, "
       "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f},\n",
-      hardware, slots, config.bootstrap_runs, config.run_seconds,
-      quick ? "true" : "false", baseline.queries_per_sec, baseline.p50_ms,
-      baseline.p95_ms, baseline.p99_ms);
+      hardware, slots, config.tenant_inflight_cap, config.bootstrap_runs,
+      config.run_seconds, quick ? "true" : "false", baseline.queries_per_sec,
+      baseline.p50_ms, baseline.p95_ms, baseline.p99_ms);
   json += header;
   json += "  \"results\": [\n";
+  uint64_t rejected = 0;
   for (size_t i = 0; i < config.tenant_counts.size(); ++i) {
     const size_t tenants = config.tenant_counts[i];
     const RunResult r = ServiceRun(config, tenants, slots);
+    rejected += r.rejected;
     char row[512];
     std::snprintf(
         row, sizeof(row),
@@ -256,6 +263,14 @@ int Run(int argc, char** argv) {
   for (std::FILE* out : outs) {
     std::fputs(json.c_str(), out);
     if (out != stdout) std::fclose(out);
+  }
+  if (rejected != 0) {
+    std::fprintf(stderr,
+                 "FAIL: closed-loop submitters were rejected %llu times at "
+                 "tenant_inflight_cap %zu\n",
+                 static_cast<unsigned long long>(rejected),
+                 config.tenant_inflight_cap);
+    return 1;
   }
   return 0;
 }

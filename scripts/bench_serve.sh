@@ -8,10 +8,12 @@
 # BENCH_serve.json at the repo root so the serving-throughput trajectory
 # is tracked across PRs; the host's hardware_concurrency is recorded
 # with the timings (on a 1-core host multi-tenant throughput tracks the
-# serial baseline rather than exceeding it). Pass --quick for the
-# sub-second CI variant (a liveness/backpressure gate more than a
-# measurement) — quick runs write their JSON into the build tree so the
-# tracked full-run artefact is never overwritten by a gate run.
+# serial baseline rather than exceeding it). The submitters run at a
+# per-tenant in-flight cap of 1, and the bench exits nonzero if any of
+# them is rejected. Pass --quick for the sub-second CI variant (a
+# liveness/backpressure gate more than a measurement) — quick runs write
+# their JSON into the build tree so the tracked full-run artefact is never
+# overwritten by a gate run.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

@@ -56,8 +56,10 @@ echo "=== bench: sharded streaming cross-check (--quick) ==="
 
 # Serving smoke: closed-loop 1/8-tenant load through the QueryService
 # (admission queue, DRR lanes, snapshot-pinned slots) must sustain
-# without rejections or stalls; sub-second runs, liveness gate more
-# than a measurement.
+# without rejections or stalls; the submitters run at a per-tenant
+# in-flight cap of 1 and the bench exits nonzero on any rejection, so a
+# lane still held when a client's future is ready fails the gate.
+# Sub-second runs, liveness gate more than a measurement.
 echo "=== bench: multi-tenant serving smoke (--quick) ==="
 "$repo_root/scripts/bench_serve.sh" --quick
 

@@ -1,25 +1,26 @@
 #include "ires/snapshot.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 namespace midas {
 
 namespace {
 
-/// Memo key for a DreamOptions configuration: every field that can change
-/// the fitted models takes part, doubles printed with full precision so
-/// distinct configurations never collide.
-std::string DreamOptionsKey(const DreamOptions& options) {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "r2=%.17g;mmax=%zu;adj=%d;eng=%d;ridge=%.17g",
-                options.r2_require, options.m_max,
-                options.use_adjusted_r2 ? 1 : 0,
-                options.engine == DreamEngine::kBatch ? 1 : 0,
-                options.ols.ridge_fallback);
-  return buf;
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// Memo identity of a DreamOptions configuration: every field that can
+/// change the fitted models takes part, doubles compared bit for bit so
+/// distinct configurations (0.0 and -0.0 included) never share a fit.
+bool SameDreamOptions(const DreamOptions& a, const DreamOptions& b) {
+  return SameBits(a.r2_require, b.r2_require) && a.m_max == b.m_max &&
+         a.use_adjusted_r2 == b.use_adjusted_r2 && a.engine == b.engine &&
+         SameBits(a.ols.ridge_fallback, b.ols.ridge_fallback);
 }
 
 }  // namespace
@@ -28,9 +29,27 @@ size_t EstimatorSnapshot::BucketOf(const std::string& scope) {
   return std::hash<std::string>{}(scope) % kBuckets;
 }
 
+bool EstimatorSnapshot::SharesDirectoryWith(const EstimatorSnapshot& other,
+                                            size_t index) const {
+  return directories_[index] == other.directories_[index];
+}
+
+bool EstimatorSnapshot::SharesBucketWith(const EstimatorSnapshot& other,
+                                         size_t index) const {
+  return BucketAt(index) == other.BucketAt(index);
+}
+
+const EstimatorSnapshot::Bucket* EstimatorSnapshot::BucketAt(
+    size_t index) const {
+  const Directory* directory =
+      directories_[index / kBucketsPerDirectory].get();
+  if (directory == nullptr) return nullptr;
+  return (*directory)[index % kBucketsPerDirectory].get();
+}
+
 const EstimatorSnapshot::ScopeState* EstimatorSnapshot::Lookup(
     const std::string& scope) const {
-  const Bucket* bucket = buckets_[BucketOf(scope)].get();
+  const Bucket* bucket = BucketAt(BucketOf(scope));
   if (bucket == nullptr) return nullptr;
   auto it = std::lower_bound(
       bucket->begin(), bucket->end(), scope,
@@ -63,9 +82,12 @@ size_t EstimatorSnapshot::SizeOf(const std::string& scope) const {
 
 std::vector<std::string> EstimatorSnapshot::Scopes() const {
   std::vector<std::string> out;
-  for (const std::shared_ptr<const Bucket>& bucket : buckets_) {
-    if (bucket == nullptr) continue;
-    for (const auto& [name, unused] : *bucket) out.push_back(name);
+  for (const std::shared_ptr<const Directory>& directory : directories_) {
+    if (directory == nullptr) continue;
+    for (const std::shared_ptr<const Bucket>& bucket : *directory) {
+      if (bucket == nullptr) continue;
+      for (const auto& [name, unused] : *bucket) out.push_back(name);
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -84,10 +106,22 @@ void EstimatorSnapshot::RebuildBuckets(const History& live,
   std::sort(keyed.begin(), keyed.end());
   keyed.erase(std::unique(keyed.begin(), keyed.end()), keyed.end());
   static const Bucket kEmpty;
+  // Each touched directory is copied once, on its first touched bucket.
+  std::array<std::shared_ptr<Directory>, kDirectories> copies;
   for (size_t begin = 0, end = 0; begin < keyed.size(); begin = end) {
     const size_t index = keyed[begin].first;
     while (end < keyed.size() && keyed[end].first == index) ++end;
-    const Bucket& old = buckets_[index] ? *buckets_[index] : kEmpty;
+    std::shared_ptr<Directory>& directory =
+        copies[index / kBucketsPerDirectory];
+    if (directory == nullptr) {
+      const Directory* published =
+          directories_[index / kBucketsPerDirectory].get();
+      directory = published ? std::make_shared<Directory>(*published)
+                            : std::make_shared<Directory>();
+    }
+    std::shared_ptr<const Bucket>& slot =
+        (*directory)[index % kBucketsPerDirectory];
+    const Bucket& old = slot ? *slot : kEmpty;
     auto rebuilt = std::make_shared<Bucket>();
     rebuilt->reserve(old.size() + (end - begin));
     auto kept = old.begin();
@@ -104,22 +138,25 @@ void EstimatorSnapshot::RebuildBuckets(const History& live,
                             std::make_shared<const ScopeState>(**live_set));
     }
     rebuilt->insert(rebuilt->end(), kept, old.end());
-    buckets_[index] = std::move(rebuilt);
+    slot = std::move(rebuilt);
+  }
+  for (size_t d = 0; d < kDirectories; ++d) {
+    if (copies[d] != nullptr) directories_[d] = std::move(copies[d]);
   }
 }
 
 StatusOr<std::shared_ptr<const DreamEstimate>> EstimatorSnapshot::DreamFit(
     const std::string& scope, const DreamOptions& options) const {
   MIDAS_ASSIGN_OR_RETURN(const ScopeState* state, Find(scope));
-  const std::string key = DreamOptionsKey(options);
   std::lock_guard<std::mutex> lock(state->fit_mutex);
-  auto it = state->dream_fits.find(key);
-  if (it != state->dream_fits.end()) return it->second;
+  for (const auto& [fitted_options, fit] : state->dream_fits) {
+    if (SameDreamOptions(fitted_options, options)) return fit;
+  }
   Dream dream(options);
   MIDAS_ASSIGN_OR_RETURN(DreamEstimate estimate,
                          dream.EstimateCostValue(state->frozen));
   auto shared = std::make_shared<const DreamEstimate>(std::move(estimate));
-  state->dream_fits.emplace(key, shared);
+  state->dream_fits.emplace_back(options, shared);
   return shared;
 }
 
@@ -227,9 +264,10 @@ void SnapshotPublisher::NotifyPublished(uint64_t epoch) const {
 std::shared_ptr<const EstimatorSnapshot> SnapshotPublisher::PublishLocked(
     std::vector<std::string> touched) {
   if (dirty_) return RepublishAllLocked();
-  // Structural sharing: the successor starts from the predecessor's bucket
-  // pointers, so untouched scopes keep their state — frozen window AND fit
-  // memos — and only the touched buckets are rebuilt.
+  // Structural sharing: the successor starts from the predecessor's
+  // directory pointers, so untouched scopes keep their state — frozen
+  // window AND fit memos — and only the touched directories and buckets
+  // are copied.
   auto successor = std::make_shared<EstimatorSnapshot>(*published_);
   ++successor->epoch_;
   successor->RebuildBuckets(live_, std::move(touched));

@@ -44,16 +44,28 @@ struct BmlScopeFit {
 /// carry-over that replaces IncrementalOls' within-call carry-over: a
 /// DREAM fit computed against epoch N keeps serving epoch N+1 readers
 /// unless the delta replay rebuilt that scope's window. The states live
-/// in a fixed table of immutable hash buckets, and a successor rebuilds
-/// only the buckets its batch touched, so publishing costs O(touched
-/// scopes) rather than O(scopes).
+/// in a two-level table of immutable hash buckets grouped into
+/// directories, and a successor copies only the directories and buckets
+/// its batch touched, so publishing costs O(touched scopes) rather than
+/// O(scopes).
 class EstimatorSnapshot {
  public:
   /// The scope table's layout: a scope's state lives in bucket
-  /// BucketOf(scope) of kBuckets (a hash of the name). Public so tests can
-  /// check bucket coverage and sharing.
+  /// BucketOf(scope) of kBuckets (a hash of the name), and bucket b in
+  /// slot b % kBucketsPerDirectory of directory b / kBucketsPerDirectory.
+  /// Public so tests can check bucket coverage and sharing.
   static constexpr size_t kBuckets = 64;
+  static constexpr size_t kBucketsPerDirectory = 8;
+  static constexpr size_t kDirectories = kBuckets / kBucketsPerDirectory;
+  static_assert(kBuckets % kBucketsPerDirectory == 0);
   static size_t BucketOf(const std::string& scope);
+
+  /// Whether this snapshot and `other` hold the same directory (or bucket)
+  /// object at `index`, both absent included: the structural sharing
+  /// between epochs, observable for tests.
+  bool SharesDirectoryWith(const EstimatorSnapshot& other,
+                           size_t index) const;
+  bool SharesBucketWith(const EstimatorSnapshot& other, size_t index) const;
 
   /// Monotone publication counter; epoch 0 is the empty initial snapshot.
   uint64_t epoch() const { return epoch_; }
@@ -98,11 +110,20 @@ class EstimatorSnapshot {
 
   /// Frozen per-scope state. Immutable except for the fit memos, which are
   /// logically const (deterministic, mutex-guarded lazy initialisation).
+  /// DREAM fits are keyed by the DreamOptions value itself (see
+  /// SameDreamOptions in snapshot.cc); a scope sees one or two
+  /// configurations, so a linear scan is enough.
   struct ScopeState {
-    explicit ScopeState(TrainingSet window) : frozen(std::move(window)) {}
+    explicit ScopeState(TrainingSet window) : frozen(std::move(window)) {
+      // The first fit's slot is allocated with the state, by the writer,
+      // not by a reader mid-query: there the long-lived entry split the
+      // query's transient heap (wide_plan_space peak RSS +6%).
+      dream_fits.reserve(1);
+    }
     const TrainingSet frozen;
     mutable std::mutex fit_mutex;
-    mutable std::map<std::string, std::shared_ptr<const DreamEstimate>>
+    mutable std::vector<
+        std::pair<DreamOptions, std::shared_ptr<const DreamEstimate>>>
         dream_fits;
     mutable std::map<std::string, std::shared_ptr<const BmlScopeFit>>
         bml_fits;
@@ -111,21 +132,28 @@ class EstimatorSnapshot {
   /// A bucket is sorted by scope name and never mutated once published.
   using Bucket =
       std::vector<std::pair<std::string, std::shared_ptr<const ScopeState>>>;
+  /// A directory is never mutated once published either: a successor that
+  /// touches one of its buckets publishes a fresh copy of the directory.
+  using Directory =
+      std::array<std::shared_ptr<const Bucket>, kBucketsPerDirectory>;
 
+  /// Bucket `index`, or nullptr when absent.
+  const Bucket* BucketAt(size_t index) const;
   /// The scope's state, or nullptr when absent.
   const ScopeState* Lookup(const std::string& scope) const;
   StatusOr<const ScopeState*> Find(const std::string& scope) const;
 
-  /// Replaces the buckets `scopes` hash to with copies that take a fresh
-  /// frozen window of each listed scope from `live`; every other member of
-  /// a rebuilt bucket, and every other bucket, is shared as it is. Scopes
-  /// absent from `live` keep their current state.
+  /// Replaces the buckets `scopes` hash to, and the directories holding
+  /// them, with copies that take a fresh frozen window of each listed
+  /// scope from `live`; every other member of a rebuilt bucket, every
+  /// other bucket of a copied directory, and every other directory is
+  /// shared as it is. Scopes absent from `live` keep their current state.
   void RebuildBuckets(const History& live, std::vector<std::string> scopes);
 
   uint64_t epoch_ = 0;
   std::shared_ptr<const std::vector<std::string>> feature_names_;
   std::shared_ptr<const std::vector<std::string>> metric_names_;
-  std::array<std::shared_ptr<const Bucket>, kBuckets> buckets_;
+  std::array<std::shared_ptr<const Directory>, kDirectories> directories_;
 };
 
 /// \brief Single-writer, many-reader publication point of the estimator
@@ -135,13 +163,13 @@ class EstimatorSnapshot {
 /// Writers apply Record batches to the private writer-side History and
 /// publish an immutable successor snapshot with an atomically bumped
 /// epoch: the successor shares every untouched scope's state (including
-/// its fit memos) with the predecessor and rebuilds only the buckets the
-/// batch touched, replaying the delta onto a fresh frozen copy of each
-/// touched scope. The superseded snapshot is released after the publisher
-/// mutex, so its teardown never blocks a concurrent Acquire. Readers
-/// call Acquire() to pin the current snapshot; pinned snapshots stay valid
-/// and self-consistent for as long as the reader holds the shared_ptr,
-/// regardless of later publications.
+/// its fit memos) with the predecessor and rebuilds only the directories
+/// and buckets the batch touched, replaying the delta onto a fresh frozen
+/// copy of each touched scope. The superseded snapshot is released after
+/// the publisher mutex, so its teardown never blocks a concurrent Acquire.
+/// Readers call Acquire() to pin the current snapshot; pinned snapshots
+/// stay valid and self-consistent for as long as the reader holds the
+/// shared_ptr, regardless of later publications.
 class SnapshotPublisher {
  public:
   SnapshotPublisher(std::vector<std::string> feature_names,

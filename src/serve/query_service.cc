@@ -126,10 +126,13 @@ void QueryService::SlotLoop(size_t slot) {
       metrics.queue_latency.Record(SecondsToNanos(served.queue_seconds));
       metrics.service_latency.Record(SecondsToNanos(service_seconds));
     }
-    // Fulfil before Release: a tenant's next request cannot even dispatch
-    // until Release, so per-tenant future completion keeps FIFO order.
-    job.promise.set_value(std::move(result));
+    // Release before Fulfil: a closed-loop client resubmits as soon as its
+    // future is ready, and must find its lane free, or a tenant at
+    // tenant_inflight_cap = 1 is rejected. This request has already
+    // executed and published, so a next request dispatched in between
+    // still pins this feedback and takes a later execution_seq.
     queue_.Release(dispatched->tenant);
+    job.promise.set_value(std::move(result));
     {
       std::lock_guard<std::mutex> lock(lifecycle_mutex_);
       ++completed_;

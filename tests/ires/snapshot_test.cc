@@ -1,9 +1,11 @@
 #include "ires/snapshot.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -296,6 +298,143 @@ TEST(EstimatorSnapshotBucketTest, MutableHistoryRepublishKeepsContents) {
   }
 }
 
+// The first scope of ScopeName(0..) that lands in directory `directory`
+// and not in bucket `avoid_bucket`.
+std::string ScopeInDirectory(size_t directory, size_t avoid_bucket) {
+  for (int i = 0;; ++i) {
+    const size_t bucket = EstimatorSnapshot::BucketOf(ScopeName(i));
+    if (bucket / EstimatorSnapshot::kBucketsPerDirectory == directory &&
+        bucket != avoid_bucket) {
+      return ScopeName(i);
+    }
+  }
+}
+
+TEST(EstimatorSnapshotDirectoryTest,
+     BatchRebuildsOnlyTheTouchedDirectories) {
+  SnapshotPublisher publisher = MakePublisher();
+  RecordManyScopes(&publisher);
+  auto before = publisher.Acquire();
+  // Two scopes in directory 1 (different buckets) and one in directory 6.
+  const std::string a = ScopeInDirectory(1, EstimatorSnapshot::kBuckets);
+  const std::string b = ScopeInDirectory(1, EstimatorSnapshot::BucketOf(a));
+  const std::string c = ScopeInDirectory(6, EstimatorSnapshot::kBuckets);
+  const std::set<std::string> touched = {a, b, c};
+  const std::set<size_t> touched_buckets = {EstimatorSnapshot::BucketOf(a),
+                                            EstimatorSnapshot::BucketOf(b),
+                                            EstimatorSnapshot::BucketOf(c)};
+  ASSERT_EQ(touched_buckets.size(), 3u);
+  std::vector<SnapshotPublisher::ScopedObservation> batch;
+  for (const std::string& scope : touched) {
+    batch.push_back({scope, Obs(7.0, 7.0)});
+  }
+  ASSERT_TRUE(publisher.RecordBatch(std::move(batch)).ok());
+  auto after = publisher.Acquire();
+  ASSERT_EQ(after->epoch(), before->epoch() + 1);
+
+  for (size_t d = 0; d < EstimatorSnapshot::kDirectories; ++d) {
+    EXPECT_EQ(after->SharesDirectoryWith(*before, d), d != 1 && d != 6) << d;
+  }
+  for (size_t k = 0; k < EstimatorSnapshot::kBuckets; ++k) {
+    EXPECT_EQ(after->SharesBucketWith(*before, k),
+              touched_buckets.count(k) == 0)
+        << k;
+  }
+  for (int i = 0; i < kManyScopes; ++i) {
+    const std::string scope = ScopeName(i);
+    const TrainingSet* was = before->Window(scope).ValueOrDie();
+    const TrainingSet* now = after->Window(scope).ValueOrDie();
+    if (touched.count(scope) > 0) {
+      EXPECT_NE(was, now) << scope;
+      EXPECT_EQ(after->SizeOf(scope), before->SizeOf(scope) + 1) << scope;
+    } else {
+      EXPECT_EQ(was, now) << scope;
+    }
+  }
+}
+
+TEST(EstimatorSnapshotDirectoryTest,
+     PinnedSnapshotOutlivesRebuildsOfEveryBucket) {
+  SnapshotPublisher publisher = MakePublisher();
+  RecordManyScopes(&publisher);
+  auto pinned = publisher.Acquire();
+  std::vector<size_t> sizes;
+  for (int i = 0; i < kManyScopes; ++i) {
+    sizes.push_back(pinned->SizeOf(ScopeName(i)));
+  }
+  // Three rounds, each touching every scope and so all 64 buckets: one as
+  // a single batch, then scope by scope.
+  std::vector<SnapshotPublisher::ScopedObservation> batch;
+  for (int i = 0; i < kManyScopes; ++i) {
+    batch.push_back({ScopeName(i), Obs(-1.0, -1.0)});
+  }
+  ASSERT_TRUE(publisher.RecordBatch(std::move(batch)).ok());
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < kManyScopes; ++i) {
+      ASSERT_TRUE(publisher.Record(ScopeName(i), Obs(-2.0, -2.0)).ok());
+    }
+  }
+  auto latest = publisher.Acquire();
+  for (size_t d = 0; d < EstimatorSnapshot::kDirectories; ++d) {
+    EXPECT_FALSE(latest->SharesDirectoryWith(*pinned, d)) << d;
+  }
+  EXPECT_EQ(pinned->Scopes().size(), static_cast<size_t>(kManyScopes));
+  for (int i = 0; i < kManyScopes; ++i) {
+    const std::string scope = ScopeName(i);
+    ASSERT_EQ(pinned->SizeOf(scope), sizes[i]) << scope;
+    const TrainingSet* frozen = pinned->Window(scope).ValueOrDie();
+    ASSERT_EQ(frozen->size(), sizes[i]) << scope;
+    // The pinned windows hold only what RecordManyScopes wrote.
+    EXPECT_EQ(frozen->at(0).features[0], 1.0 * i) << scope;
+    EXPECT_EQ(frozen->at(0).costs[0], 2.0 * i) << scope;
+    if (i % 3 == 0) {
+      EXPECT_EQ(frozen->at(1).features[0], i + 0.5) << scope;
+    }
+    EXPECT_EQ(latest->SizeOf(scope), sizes[i] + 3) << scope;
+  }
+}
+
+TEST(EstimatorSnapshotDirectoryTest,
+     MutableHistoryRepublishBuildsAFreshTable) {
+  SnapshotPublisher publisher = MakePublisher();
+  RecordManyScopes(&publisher);
+  auto before = publisher.Acquire();
+  publisher.MutableHistory().TrimAll(1);
+  auto republished = publisher.Acquire();
+  ASSERT_EQ(republished->epoch(), before->epoch() + 1);
+  // Built from an empty table: nothing is shared with the predecessor,
+  // which still reads its own windows.
+  for (size_t d = 0; d < EstimatorSnapshot::kDirectories; ++d) {
+    EXPECT_FALSE(republished->SharesDirectoryWith(*before, d)) << d;
+  }
+  ASSERT_EQ(republished->Scopes(), before->Scopes());
+  for (int i = 0; i < kManyScopes; ++i) {
+    const std::string scope = ScopeName(i);
+    const TrainingSet* was = before->Window(scope).ValueOrDie();
+    const TrainingSet* now = republished->Window(scope).ValueOrDie();
+    ASSERT_EQ(now->size(), 1u) << scope;
+    EXPECT_EQ(now->at(0).features, was->at(was->size() - 1).features)
+        << scope;
+    EXPECT_EQ(now->at(0).costs, was->at(was->size() - 1).costs) << scope;
+    EXPECT_EQ(before->SizeOf(scope), i % 3 == 0 ? 2u : 1u) << scope;
+  }
+  // The next publish copies only its own directory of the fresh table.
+  const std::string hot = ScopeName(5);
+  const size_t hot_bucket = EstimatorSnapshot::BucketOf(hot);
+  ASSERT_TRUE(publisher.Record(hot, Obs(3.0, 3.0)).ok());
+  auto after = publisher.Acquire();
+  for (size_t k = 0; k < EstimatorSnapshot::kBuckets; ++k) {
+    EXPECT_EQ(after->SharesBucketWith(*republished, k), k != hot_bucket) << k;
+  }
+  for (size_t d = 0; d < EstimatorSnapshot::kDirectories; ++d) {
+    EXPECT_EQ(after->SharesDirectoryWith(*republished, d),
+              d != hot_bucket / EstimatorSnapshot::kBucketsPerDirectory)
+        << d;
+  }
+  EXPECT_EQ(after->SizeOf(hot), 2u);
+  EXPECT_EQ(republished->SizeOf(hot), 1u);
+}
+
 TEST(EstimatorSnapshotTest, DreamFitIsMemoisedPerConfiguration) {
   SnapshotPublisher publisher = MakePublisher();
   for (int i = 0; i < 8; ++i) {
@@ -309,12 +448,52 @@ TEST(EstimatorSnapshotTest, DreamFitIsMemoisedPerConfiguration) {
   auto second = snapshot->DreamFit("q1", options);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->get(), second->get());  // same fit object, no refit
-
-  DreamOptions other = options;
-  other.r2_require = 0.5;
-  auto third = snapshot->DreamFit("q1", other);
+  // Equal options built separately share the fit too: the memo compares
+  // values, not objects.
+  DreamOptions equal;
+  auto third = snapshot->DreamFit("q1", equal);
   ASSERT_TRUE(third.ok());
-  EXPECT_NE(first->get(), third->get());  // distinct configuration
+  EXPECT_EQ(first->get(), third->get());
+
+  // A change to any single field is its own configuration, and each one
+  // is memoised in turn.
+  std::vector<std::pair<std::string, DreamOptions>> variants;
+  variants.emplace_back("r2_require", options);
+  variants.back().second.r2_require = 0.5;
+  variants.emplace_back("m_max", options);
+  variants.back().second.m_max = 5;
+  variants.emplace_back("use_adjusted_r2", options);
+  variants.back().second.use_adjusted_r2 = !options.use_adjusted_r2;
+  variants.emplace_back("engine", options);
+  variants.back().second.engine = options.engine == DreamEngine::kBatch
+                                      ? DreamEngine::kIncremental
+                                      : DreamEngine::kBatch;
+  variants.emplace_back("ols.ridge_fallback", options);
+  variants.back().second.ols.ridge_fallback = 2e-6;
+  std::set<const DreamEstimate*> fits = {first->get()};
+  for (const auto& [field, variant] : variants) {
+    auto fit = snapshot->DreamFit("q1", variant);
+    ASSERT_TRUE(fit.ok()) << field;
+    EXPECT_TRUE(fits.insert(fit->get()).second) << field << " shared a fit";
+    auto again = snapshot->DreamFit("q1", variant);
+    ASSERT_TRUE(again.ok()) << field;
+    EXPECT_EQ(again->get(), fit->get()) << field << " was refitted";
+  }
+  // Doubles are compared bit for bit, as a full-precision key would.
+  DreamOptions one_ulp = options;
+  one_ulp.r2_require = std::nextafter(options.r2_require, 1.0);
+  auto nudged = snapshot->DreamFit("q1", one_ulp);
+  ASSERT_TRUE(nudged.ok());
+  EXPECT_TRUE(fits.insert(nudged->get()).second);
+  DreamOptions zero = options;
+  zero.ols.ridge_fallback = 0.0;
+  DreamOptions negative_zero = options;
+  negative_zero.ols.ridge_fallback = -0.0;
+  auto zero_fit = snapshot->DreamFit("q1", zero);
+  auto negative_zero_fit = snapshot->DreamFit("q1", negative_zero);
+  ASSERT_TRUE(zero_fit.ok());
+  ASSERT_TRUE(negative_zero_fit.ok());
+  EXPECT_NE(zero_fit->get(), negative_zero_fit->get());
 }
 
 TEST(EstimatorSnapshotTest, DreamFitCarriesOverForUntouchedScopes) {

@@ -4,6 +4,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,6 +106,59 @@ TEST(QueryServiceTest, TenantInflightCapRejectsBurst) {
   const ServeStats stats = service.stats();
   EXPECT_EQ(stats.admission.rejected_tenant_cap, 1u);
   EXPECT_EQ(stats.served, 2u);
+}
+
+TEST(QueryServiceTest, ClosedLoopClientsAtCapOneAreNeverRejected) {
+  // A closed-loop client resubmits the moment its future is ready. The
+  // slot frees the tenant's lane before it fulfils the future, so at a cap
+  // of 1 the resubmission always finds the lane free. Eight tenants on
+  // four slots keep the queue lock contended, so a lane still held when
+  // its future becomes ready shows up as rejections.
+  constexpr size_t kTenants = 8;
+  constexpr uint64_t kRounds = 100;
+  MidasSystem system = MakeSystem();
+  QueryPlan query = MakeExample21Query().ValueOrDie();
+  for (size_t t = 0; t < kTenants; ++t) {
+    const std::string tenant = "t" + std::to_string(t);
+    ASSERT_TRUE(system.Bootstrap(tenant, query, 16).ok());
+  }
+  ServeOptions options;
+  options.slots = 4;
+  options.tenant_inflight_cap = 1;
+  QueryService service(&system, options);
+  std::atomic<uint64_t> rejected{0};
+  std::atomic<uint64_t> failed{0};
+  std::atomic<uint64_t> out_of_order{0};
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kTenants; ++t) {
+    clients.emplace_back([&, t] {
+      const std::string tenant = "t" + std::to_string(t);
+      uint64_t last_seq = 0;
+      for (uint64_t i = 0; i < kRounds; ++i) {
+        auto submitted = service.Submit(
+            tenant, QueryRequest{tenant, query, MakePolicy(0.5)});
+        if (!submitted.ok()) {
+          rejected.fetch_add(1);
+          continue;
+        }
+        QueryService::Result served = submitted->get();
+        if (!served.ok()) {
+          failed.fetch_add(1);
+          continue;
+        }
+        // The tenant's requests execute in submission order.
+        if (served->execution_seq <= last_seq) out_of_order.fetch_add(1);
+        last_seq = served->execution_seq;
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(rejected.load(), 0u);
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(out_of_order.load(), 0u);
+  const ServeStats stats = service.stats();
+  EXPECT_EQ(stats.admission.rejected_tenant_cap, 0u);
+  EXPECT_EQ(stats.served, kTenants * kRounds);
 }
 
 TEST(QueryServiceTest, StatsAggregateAcrossSlots) {
