@@ -4,7 +4,8 @@
 // per estimate, grown by Givens rotations, fitted by a pivoted QR of that
 // factor only where an R² upper bound admits R²_require, plus the returned
 // window) — on two series, and emits BENCH_dream.json so the perf
-// trajectory can be tracked across PRs. Run via scripts/bench_dream.sh.
+// trajectory can be tracked across PRs. Run via
+// `scripts/bench.sh dream`.
 //
 //  - full_rank: four random features and an unreachable R² requirement,
 //    which forces both engines to grow the window all the way to the cap

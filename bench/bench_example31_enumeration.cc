@@ -11,7 +11,7 @@
 // distinct front extracted at the end), reporting plans/sec and the peak
 // number of simultaneously resident candidates (plans for the reference,
 // cost rows for the stream), optionally as JSON (argv[2], written by
-// scripts/bench_stream.sh to BENCH_stream.json).
+// `scripts/bench.sh stream` to BENCH_stream.json).
 
 #include <chrono>
 #include <fstream>

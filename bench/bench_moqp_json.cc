@@ -13,7 +13,8 @@
 // Every row records whether its Pareto front and chosen plan match the
 // serial per-plan baseline bit for bit (both predictors run the same
 // per-row dot on every SIMD tier). Emits BENCH_moqp.json so the perf
-// trajectory is tracked across PRs; run via scripts/bench_moqp.sh.
+// trajectory is tracked across PRs; run via
+// `scripts/bench.sh moqp`.
 
 #include <chrono>
 #include <cstdio>

@@ -1,5 +1,5 @@
 // Machine-readable serving benchmark: closed-loop multi-tenant load
-// against the QueryService (bounded admission queue, DRR fairness,
+// against the QueryService (bounded admission queue, round-robin lanes,
 // snapshot-pinned executor slots, serialized feedback path) at 1/8/64
 // tenants, against the single-threaded serial RunQuery baseline. Each
 // tenant is one closed-loop submitter: submit -> wait -> repeat, so
@@ -7,7 +7,7 @@
 // tenant count. Reports sustained queries/sec plus p50/p95/p99 service
 // latency (and p50 queue wait) from the service's streaming
 // LatencyRecorders. Emits BENCH_serve.json; run via
-// scripts/bench_serve.sh.
+// `scripts/bench.sh serve`.
 //
 // The submitters run at tenant_inflight_cap = 1, the tightest cap a
 // closed-loop client fits: a resubmission right after get() must find the

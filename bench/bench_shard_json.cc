@@ -6,7 +6,7 @@
 // serial single-stream front (matches_serial) and the process exits
 // nonzero on any mismatch, so the benchmark doubles as a correctness
 // gate. Writes a text report (argv[1]) and machine-readable JSON
-// (argv[2], written by scripts/bench_shard.sh to BENCH_shard.json);
+// (argv[2], written by `scripts/bench.sh shard` to BENCH_shard.json);
 // `--quick` shrinks the fleet to ~10^5 plans for CI. The host's
 // hardware_concurrency is recorded alongside the timings: on a
 // single-core host the shard counts time the partition/merge overhead,

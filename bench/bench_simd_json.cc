@@ -6,7 +6,8 @@
 // across PRs. The dispatched tier name and hardware_concurrency are
 // recorded alongside the rows: on a force-scalar build (or a host with no
 // vector tier) both columns run the same scalar kernels and the speedup
-// column reads ~1.0 by construction. Run via scripts/bench_simd.sh.
+// column reads ~1.0 by construction. Run via
+// `scripts/bench.sh simd`.
 
 #include <chrono>
 #include <cstdio>

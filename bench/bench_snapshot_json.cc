@@ -6,7 +6,7 @@
 // publisher holding 16/512/4,096 scopes, alone and beside 3 threads that
 // keep pinning snapshots — publication should cost the same at every
 // scope count. Emits BENCH_snapshot.json; run via
-// scripts/bench_snapshot.sh.
+// `scripts/bench.sh snapshot`.
 //
 // Readers re-pin every kPinEvery predictions — the per-optimization
 // pinning pattern RunQuery uses — so the numbers include the Acquire cost

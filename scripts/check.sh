@@ -52,16 +52,16 @@ done
 # enumeration into 1/2/4/8 shards and exits nonzero unless every sharded
 # front is bitwise identical to the serial stream.
 echo "=== bench: sharded streaming cross-check (--quick) ==="
-"$repo_root/scripts/bench_shard.sh" --quick
+"$repo_root/scripts/bench.sh" shard --quick
 
 # Serving smoke: closed-loop 1/8-tenant load through the QueryService
-# (admission queue, DRR lanes, snapshot-pinned slots) must sustain
+# (admission queue, round-robin lanes, snapshot-pinned slots) must sustain
 # without rejections or stalls; the submitters run at a per-tenant
 # in-flight cap of 1 and the bench exits nonzero on any rejection, so a
 # lane still held when a client's future is ready fails the gate.
 # Sub-second runs, liveness gate more than a measurement.
 echo "=== bench: multi-tenant serving smoke (--quick) ==="
-"$repo_root/scripts/bench_serve.sh" --quick
+"$repo_root/scripts/bench.sh" serve --quick
 
 # DREAM engine cross-check: the quick bench fits Example 2.1 serving
 # histories (rank deficient: constant per-site MiB columns) with both
@@ -72,9 +72,9 @@ echo "=== bench: multi-tenant serving smoke (--quick) ==="
 # window) bit for bit in window, flag, R² and coefficients. Run against
 # the default preset (dispatched SIMD kernels) and the force-scalar preset.
 echo "=== bench: DREAM engine cross-check (--quick) ==="
-"$repo_root/scripts/bench_dream.sh" --quick
+"$repo_root/scripts/bench.sh" dream --quick
 echo "=== bench: DREAM engine cross-check, force-scalar (--quick) ==="
-BUILD_DIR="$repo_root/build-force-scalar" "$repo_root/scripts/bench_dream.sh" --quick
+BUILD_DIR="$repo_root/build-force-scalar" "$repo_root/scripts/bench.sh" dream --quick
 
 # Serving-path correctness gate: the end-to-end benchmark's output checks
 # replay every query through the per-plan public calls (EnumeratePhysical,

@@ -52,10 +52,8 @@ class Modelling {
   Modelling(std::vector<std::string> feature_names,
             std::vector<std::string> metric_names, uint64_t seed = 31);
 
-  /// Writer-side live history. The non-const accessor marks the published
-  /// snapshot stale, so direct maintenance (pruning, manual inserts) is
-  /// folded into a fresh epoch on the next Snapshot()/Acquire.
-  History& history() { return publisher_.MutableHistory(); }
+  /// Writer-side live history, read-only: every write goes through
+  /// Record/RecordBatch, which publishes it.
   const History& history() const { return publisher_.history(); }
 
   /// The estimator state's publication point (epoch inspection, batched

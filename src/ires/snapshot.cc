@@ -188,18 +188,8 @@ SnapshotPublisher::SnapshotPublisher(std::vector<std::string> feature_names,
 }
 
 std::shared_ptr<const EstimatorSnapshot> SnapshotPublisher::Acquire() const {
-  // Acquire is const so any reader can pin; the dirty republish mutates
-  // only publisher-internal state (conceptually a cache refresh).
-  auto* self = const_cast<SnapshotPublisher*>(this);
-  std::shared_ptr<const EstimatorSnapshot> snapshot;
-  std::shared_ptr<const EstimatorSnapshot> superseded;  // dropped unlocked
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (dirty_) superseded = self->RepublishAllLocked();
-    snapshot = published_;
-  }
-  if (superseded != nullptr) NotifyPublished(snapshot->epoch());
-  return snapshot;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return published_;
 }
 
 uint64_t SnapshotPublisher::epoch() const {
@@ -235,9 +225,7 @@ Status SnapshotPublisher::RecordBatch(std::vector<ScopedObservation> batch,
         break;
       }
     }
-    if (!touched.empty() || dirty_) {
-      superseded = PublishLocked(std::move(touched));
-    }
+    if (!touched.empty()) superseded = PublishLocked(std::move(touched));
     epoch = published_->epoch();
   }
   if (published_epoch != nullptr) *published_epoch = epoch;
@@ -250,7 +238,7 @@ void SnapshotPublisher::AddPublishListener(PublishListener listener) {
   listeners_.push_back(std::move(listener));
 }
 
-void SnapshotPublisher::NotifyPublished(uint64_t epoch) const {
+void SnapshotPublisher::NotifyPublished(uint64_t epoch) {
   // Snapshot the listener list so a listener registering another listener
   // cannot deadlock; invocation happens outside every publisher lock.
   std::vector<PublishListener> listeners;
@@ -263,7 +251,6 @@ void SnapshotPublisher::NotifyPublished(uint64_t epoch) const {
 
 std::shared_ptr<const EstimatorSnapshot> SnapshotPublisher::PublishLocked(
     std::vector<std::string> touched) {
-  if (dirty_) return RepublishAllLocked();
   // Structural sharing: the successor starts from the predecessor's
   // directory pointers, so untouched scopes keep their state — frozen
   // window AND fit memos — and only the touched directories and buckets
@@ -272,23 +259,6 @@ std::shared_ptr<const EstimatorSnapshot> SnapshotPublisher::PublishLocked(
   ++successor->epoch_;
   successor->RebuildBuckets(live_, std::move(touched));
   return std::exchange(published_, std::move(successor));
-}
-
-std::shared_ptr<const EstimatorSnapshot>
-SnapshotPublisher::RepublishAllLocked() {
-  auto successor = std::make_shared<EstimatorSnapshot>();
-  successor->epoch_ = published_->epoch_ + 1;
-  successor->feature_names_ = feature_names_;
-  successor->metric_names_ = metric_names_;
-  successor->RebuildBuckets(live_, live_.Scopes());
-  dirty_ = false;
-  return std::exchange(published_, std::move(successor));
-}
-
-History& SnapshotPublisher::MutableHistory() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  dirty_ = true;
-  return live_;
 }
 
 }  // namespace midas

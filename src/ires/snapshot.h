@@ -187,13 +187,11 @@ class SnapshotPublisher {
   /// state that must follow the published epoch in a long-lived server
   /// (e.g. evicting epoch-keyed entries, or a test's hold point).
   ///
-  /// Listeners are invoked OUTSIDE the publisher mutex, on whichever
-  /// thread triggered the publication (the Record/RecordBatch writer, or
-  /// the Acquire reader that folds a dirty MutableHistory into a fresh
-  /// epoch). They may Acquire() and may touch their own locks, but must
-  /// not Record — publication from inside a publication listener would
-  /// recurse. Listeners cannot be removed; register for the publisher's
-  /// lifetime.
+  /// Listeners are invoked OUTSIDE the publisher mutex, on the writer
+  /// thread whose Record/RecordBatch published. They may Acquire() and may
+  /// touch their own locks, but must not Record — publication from inside
+  /// a publication listener would recurse. Listeners cannot be removed;
+  /// register for the publisher's lifetime.
   using PublishListener = std::function<void(uint64_t epoch)>;
   void AddPublishListener(PublishListener listener);
 
@@ -222,11 +220,6 @@ class SnapshotPublisher {
   /// concurrent consumers should pin a snapshot instead.
   const History& history() const { return live_; }
 
-  /// Mutable writer-side history for legacy callers (pruning, direct
-  /// maintenance). Marks the published snapshot stale: the next Acquire()
-  /// republishes every scope from the live state under a fresh epoch.
-  History& MutableHistory();
-
  private:
   /// Rebuilds `touched` scopes from live_ into a successor snapshot and
   /// publishes it. Returns the superseded snapshot so the caller can drop
@@ -234,23 +227,17 @@ class SnapshotPublisher {
   std::shared_ptr<const EstimatorSnapshot> PublishLocked(
       std::vector<std::string> touched);
 
-  /// Republishes every scope from live_ into an empty table (dirty
-  /// MutableHistory path). Returns the superseded snapshot like
-  /// PublishLocked. Caller holds mutex_.
-  std::shared_ptr<const EstimatorSnapshot> RepublishAllLocked();
-
   /// Runs every registered listener with `epoch`. Caller must NOT hold
   /// mutex_ (listeners may Acquire).
-  void NotifyPublished(uint64_t epoch) const;
+  void NotifyPublished(uint64_t epoch);
 
-  mutable std::mutex mutex_;  // guards live_, published_, dirty_
+  mutable std::mutex mutex_;  // guards live_, published_
   History live_;
   std::shared_ptr<const std::vector<std::string>> feature_names_;
   std::shared_ptr<const std::vector<std::string>> metric_names_;
   std::shared_ptr<const EstimatorSnapshot> published_;
-  bool dirty_ = false;
 
-  mutable std::mutex listeners_mutex_;  // guards listeners_ only
+  std::mutex listeners_mutex_;  // guards listeners_ only
   std::vector<PublishListener> listeners_;
 };
 

@@ -34,24 +34,6 @@ Status ValidatePolicy(const QueryPolicy& policy);
 StatusOr<size_t> BestInPareto(const std::vector<Vector>& pareto_costs,
                               const QueryPolicy& policy);
 
-// --- Alternative Pareto-set selection strategies (paper §5 future work:
-// "define new strategies to choose QEPs in a Pareto Set") -------------------
-
-/// \brief Knee-point selection: the plan farthest (after min-max
-/// normalisation) from the chord between the per-metric extreme points —
-/// the "best bang for the buck" plan that needs no user weights at all.
-/// Two metrics only; sets with < 3 plans return the weighted-centre
-/// equivalent (index of the normalised-sum minimiser).
-StatusOr<size_t> KneePointSelect(const std::vector<Vector>& pareto_costs);
-
-/// \brief Lexicographic selection: minimise the metrics in the given
-/// priority order, with `tolerance` (relative) slack allowed at each level
-/// before moving to the next tie-breaker. E.g. priority {0, 1} with 5%
-/// tolerance: among plans within 5% of the best time, pick the cheapest.
-StatusOr<size_t> LexicographicSelect(const std::vector<Vector>& pareto_costs,
-                                     const std::vector<size_t>& priority,
-                                     double tolerance = 0.05);
-
 }  // namespace midas
 
 #endif  // MIDAS_OPTIMIZER_BEST_IN_PARETO_H_

@@ -28,8 +28,7 @@ struct AdmissionStats {
 };
 
 /// \brief Bounded multi-producer multi-consumer admission queue with one
-/// FIFO lane per tenant and deficit-round-robin (DRR) scheduling across
-/// lanes.
+/// FIFO lane per tenant and round-robin scheduling across lanes.
 ///
 /// Three properties the serving layer builds on:
 ///
@@ -42,11 +41,9 @@ struct AdmissionStats {
 ///     its outcomes bit-identical to a serial replay — a tenant's query
 ///     n+1 pins its estimator snapshot only after query n's feedback was
 ///     published.
-///  3. **DRR fairness**: lanes are visited in a round-robin ring; each
-///     visit tops the lane's deficit up by `drr_quantum × weight` credits
-///     and every dispatch spends one credit, so over time tenants receive
-///     service proportional to their weight regardless of how fast they
-///     push.
+///  3. **Round-robin fairness**: lanes are visited in a ring and each
+///     visit dispatches at most one item, so backlogged tenants take turns
+///     regardless of how fast they push.
 ///
 /// Backpressure is rejection, not blocking: Push fails with
 /// ResourceExhausted when the queue is at capacity or the tenant's
@@ -63,9 +60,6 @@ class AdmissionQueue {
     size_t capacity = 256;
     /// Max queued + dispatched-unreleased items per tenant (0 = unlimited).
     size_t tenant_inflight_cap = 0;
-    /// Credits a lane earns per round-robin visit, multiplied by its
-    /// weight. One dispatch costs one credit.
-    uint64_t drr_quantum = 1;
   };
 
   /// One dispatched item plus the lane it came from; the consumer must
@@ -81,13 +75,6 @@ class AdmissionQueue {
 
   AdmissionQueue(const AdmissionQueue&) = delete;
   AdmissionQueue& operator=(const AdmissionQueue&) = delete;
-
-  /// Sets the DRR weight for `tenant` (default 1). Takes effect on the
-  /// lane's next round-robin visit.
-  void SetTenantWeight(const std::string& tenant, uint64_t weight) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    LaneFor(tenant).weight = weight == 0 ? 1 : weight;
-  }
 
   /// Admits `item` into `tenant`'s lane, or rejects it:
   ///  - FailedPrecondition once Close() was called,
@@ -119,10 +106,10 @@ class AdmissionQueue {
     return Status::OK();
   }
 
-  /// Blocks until some lane has a dispatchable head, pops it under the DRR
-  /// discipline and marks the lane dispatched. Returns FailedPrecondition
-  /// once the queue is closed AND fully drained (the consumer's signal to
-  /// exit its loop).
+  /// Blocks until some lane has a dispatchable head, pops the first one at
+  /// or after the round-robin cursor and marks its lane dispatched.
+  /// Returns FailedPrecondition once the queue is closed AND fully drained
+  /// (the consumer's signal to exit its loop).
   StatusOr<Dispatched> Pop() {
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
@@ -131,12 +118,6 @@ class AdmissionQueue {
         const size_t index = (cursor_ + step) % lanes;
         Lane& lane = *ring_[index];
         if (lane.dispatched || lane.items.empty()) continue;
-        if (lane.deficit == 0) {
-          // This visit tops the lane up; a backlogged lane with a larger
-          // weight earns proportionally more dispatches per ring pass.
-          lane.deficit = options_.drr_quantum * lane.weight;
-        }
-        --lane.deficit;
         Dispatched out{lane.name, std::move(lane.items.front())};
         lane.items.pop_front();
         lane.dispatched = true;
@@ -145,13 +126,7 @@ class AdmissionQueue {
         // Draining the last item after Close must wake peers parked in
         // Pop so they can observe closed-and-drained and exit.
         if (closed_ && depth_ == 0) dispatchable_.notify_all();
-        // Stay on this lane while it has credit left (classic DRR); move
-        // past it once its credit or backlog is spent.
-        if (lane.deficit == 0 || lane.items.empty()) {
-          cursor_ = (index + 1) % lanes;
-        } else {
-          cursor_ = index;
-        }
+        cursor_ = (index + 1) % lanes;
         return out;
       }
       if (closed_ && depth_ == 0) {
@@ -196,8 +171,6 @@ class AdmissionQueue {
   struct Lane {
     std::string name;
     std::deque<T> items;
-    uint64_t weight = 1;
-    uint64_t deficit = 0;
     bool dispatched = false;
   };
 

@@ -19,7 +19,6 @@ QueryService::QueryService(MidasSystem* system, ServeOptions options)
         AdmissionQueue<Job>::Options q;
         q.capacity = options.queue_capacity;
         q.tenant_inflight_cap = options.tenant_inflight_cap;
-        q.drr_quantum = options.drr_quantum == 0 ? 1 : options.drr_quantum;
         return q;
       }()) {
   const size_t slots = options_.slots == 0 ? 1 : options_.slots;
@@ -53,11 +52,6 @@ StatusOr<std::future<QueryService::Result>> QueryService::Submit(
     ++accepted_;
   }
   return future;
-}
-
-void QueryService::SetTenantWeight(const std::string& tenant,
-                                   uint64_t weight) {
-  queue_.SetTenantWeight(tenant, weight);
 }
 
 void QueryService::Drain() {

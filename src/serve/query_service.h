@@ -30,8 +30,6 @@ struct ServeOptions {
   /// Per-tenant bound on queued + dispatched-unreleased requests
   /// (0 = unlimited); Submit rejects with ResourceExhausted beyond it.
   size_t tenant_inflight_cap = 8;
-  /// DRR credits a tenant lane earns per round-robin visit (× its weight).
-  uint64_t drr_quantum = 1;
 };
 
 /// \brief Everything the service produced for one admitted request.
@@ -73,7 +71,7 @@ struct ServeStats {
 ///
 /// Submitters enqueue QueryRequests into a bounded per-tenant-FIFO
 /// admission queue (backpressure by rejection); a pool of executor slots
-/// pops them under deficit-round-robin fairness, pins the current
+/// pops them in round-robin order across tenants, pins the current
 /// estimator snapshot, and runs the read-only optimization half
 /// (MidasSystem::OptimizeQuery) concurrently. The write half — simulator
 /// execution and feedback publication via
@@ -118,10 +116,6 @@ class QueryService {
   /// bit-identical replay guarantee, use tenant == request.scope.
   StatusOr<std::future<Result>> Submit(const std::string& tenant,
                                        QueryRequest request);
-
-  /// Sets `tenant`'s DRR weight (default 1): its lane earns
-  /// drr_quantum × weight dispatches per round-robin pass when backlogged.
-  void SetTenantWeight(const std::string& tenant, uint64_t weight);
 
   /// Blocks until every accepted request has completed. Admissions stay
   /// open; a steady submitter can keep Drain waiting indefinitely.

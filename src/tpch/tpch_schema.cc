@@ -31,21 +31,6 @@ ColumnDef Date(const std::string& name) {
 
 }  // namespace
 
-StatusOr<uint64_t> RowsAtScale(const std::string& table, double scale_factor) {
-  if (scale_factor <= 0.0) {
-    return Status::InvalidArgument("scale factor must be positive");
-  }
-  if (table == "region") return kRegionRows;
-  if (table == "nation") return kNationRows;
-  if (table == "supplier") return Scale(kSupplierRowsSf1, scale_factor);
-  if (table == "customer") return Scale(kCustomerRowsSf1, scale_factor);
-  if (table == "part") return Scale(kPartRowsSf1, scale_factor);
-  if (table == "partsupp") return Scale(kPartSuppRowsSf1, scale_factor);
-  if (table == "orders") return Scale(kOrdersRowsSf1, scale_factor);
-  if (table == "lineitem") return Scale(kLineitemRowsSf1, scale_factor);
-  return Status::NotFound("unknown TPC-H table: " + table);
-}
-
 StatusOr<Catalog> MakeCatalog(double scale_factor) {
   if (scale_factor <= 0.0) {
     return Status::InvalidArgument("scale factor must be positive");

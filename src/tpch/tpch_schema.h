@@ -25,9 +25,6 @@ inline constexpr double kScaleFactor1GiB = 1.0;
 /// statistics the selectivity estimator relies on.
 StatusOr<Catalog> MakeCatalog(double scale_factor);
 
-/// Row count of a table at a scale factor (NotFound for unknown names).
-StatusOr<uint64_t> RowsAtScale(const std::string& table, double scale_factor);
-
 }  // namespace tpch
 }  // namespace midas
 

@@ -161,28 +161,5 @@ TEST(EndToEndTest, ThreeCloudFederationRunsQ14) {
   EXPECT_GT(outcome->actual.seconds, 0.0);
 }
 
-// The alternative Pareto-set selection strategies must pick members of
-// the same front the system produced.
-TEST(EndToEndTest, AlternativeSelectionStrategiesOnRealFront) {
-  Federation federation = Federation::PaperFederation();
-  Catalog catalog = MakeMedicalCatalog(0.1).ValueOrDie();
-  PlaceMedicalTables(&federation).CheckOK();
-  MidasSystem system(std::move(federation), std::move(catalog),
-                     MidasOptions());
-  QueryPlan query = MakeExample21Query().ValueOrDie();
-  ASSERT_TRUE(system.Bootstrap("e21", query, 24).ok());
-  QueryPolicy policy;
-  policy.weights = {0.5, 0.5};
-  auto outcome = system.RunQuery("e21", query, policy);
-  ASSERT_TRUE(outcome.ok());
-  const auto& front = outcome->moqp.pareto_costs;
-  auto knee = KneePointSelect(front);
-  ASSERT_TRUE(knee.ok());
-  EXPECT_LT(*knee, front.size());
-  auto lex = LexicographicSelect(front, {0, 1}, 0.1);
-  ASSERT_TRUE(lex.ok());
-  EXPECT_LT(*lex, front.size());
-}
-
 }  // namespace
 }  // namespace midas

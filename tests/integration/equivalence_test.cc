@@ -169,8 +169,7 @@ TEST(DreamEngineEquivalenceTest, ServingHistoriesMatchBatch) {
   incremental_options.engine = DreamEngine::kIncremental;
   DreamOptions batch_options = incremental_options;
   batch_options.engine = DreamEngine::kBatch;
-  const History& history =
-      static_cast<const Modelling&>(system.modelling()).history();
+  const History& history = system.modelling().history();
   for (size_t s = 0; s < kScopes; ++s) {
     const std::string scope = "s" + std::to_string(s);
     const TrainingSet* set = history.Get(scope).ValueOrDie();

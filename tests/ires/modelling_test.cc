@@ -331,5 +331,18 @@ TEST(ModellingTest, HistoryAccessorExposesScopes) {
   EXPECT_EQ(modelling.num_features(), 1u);
 }
 
+// Reading the writer-side history is not a write: the pinned snapshot, its
+// epoch and its fit memos stay current.
+TEST(ModellingTest, ReadingTheHistoryPublishesNothing) {
+  Modelling modelling({"x"}, {"time", "money"});
+  FillLinear(&modelling, "q", 5);
+  const auto pinned = modelling.Snapshot();
+  ASSERT_EQ(pinned->epoch(), 5u);
+  EXPECT_EQ(modelling.history().SizeOf("q"), 5u);
+  const auto after = modelling.Snapshot();
+  EXPECT_EQ(after, pinned);
+  EXPECT_EQ(after->epoch(), 5u);
+}
+
 }  // namespace
 }  // namespace midas

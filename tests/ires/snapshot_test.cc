@@ -118,12 +118,6 @@ TEST(SnapshotPublisherTest, PublishListenersFireOnEveryPublication) {
   // An empty batch publishes nothing, so no notification fires.
   ASSERT_TRUE(publisher.RecordBatch({}).ok());
   EXPECT_EQ(seen.size(), 2u);
-  // The dirty MutableHistory republish (folded into Acquire) is a
-  // publication too.
-  publisher.MutableHistory();
-  auto snapshot = publisher.Acquire();
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen.back(), snapshot->epoch());
 }
 
 TEST(SnapshotPublisherTest, ListenerMayAcquireWithoutDeadlock) {
@@ -180,21 +174,6 @@ TEST(SnapshotPublisherTest, FailedAddStillCreatesTheScopeLikeHistoryDoes) {
   auto snapshot = publisher.Acquire();
   EXPECT_EQ(snapshot->Window("q1").ok(), live_has_scope);
   EXPECT_EQ(snapshot->SizeOf("q1"), publisher.history().SizeOf("q1"));
-}
-
-TEST(SnapshotPublisherTest, MutableHistoryTriggersFullRepublish) {
-  SnapshotPublisher publisher = MakePublisher();
-  ASSERT_TRUE(publisher.Record("q1", Obs(1.0, 10.0)).ok());
-  ASSERT_TRUE(publisher.Record("q1", Obs(2.0, 20.0)).ok());
-  const uint64_t epoch_before = publisher.epoch();
-  publisher.MutableHistory().TrimAll(1);
-  auto snapshot = publisher.Acquire();
-  EXPECT_GT(snapshot->epoch(), epoch_before);
-  EXPECT_EQ(snapshot->SizeOf("q1"), 1u);
-  EXPECT_DOUBLE_EQ(
-      snapshot->Window("q1").ValueOrDie()->at(0).features[0], 2.0);
-  // Re-acquiring without new writes does not mint new epochs.
-  EXPECT_EQ(publisher.Acquire()->epoch(), snapshot->epoch());
 }
 
 TEST(EstimatorSnapshotBucketTest, ManyScopesCoverEveryBucket) {
@@ -274,27 +253,6 @@ TEST(EstimatorSnapshotBucketTest, SizeOfAndNotFoundAgreeWithHistory) {
     const Status frozen = snapshot->Window(scope).status();
     EXPECT_EQ(frozen.code(), live.code()) << scope;
     EXPECT_EQ(frozen.message(), live.message()) << scope;
-  }
-}
-
-TEST(EstimatorSnapshotBucketTest, MutableHistoryRepublishKeepsContents) {
-  SnapshotPublisher publisher = MakePublisher();
-  RecordManyScopes(&publisher);
-  auto before = publisher.Acquire();
-  publisher.MutableHistory();
-  auto after = publisher.Acquire();
-  EXPECT_EQ(after->epoch(), before->epoch() + 1);
-  ASSERT_EQ(after->Scopes(), before->Scopes());
-  for (const std::string& scope : before->Scopes()) {
-    const TrainingSet* was = before->Window(scope).ValueOrDie();
-    const TrainingSet* now = after->Window(scope).ValueOrDie();
-    EXPECT_NE(was, now) << scope;  // rebuilt from the live history
-    ASSERT_EQ(now->size(), was->size()) << scope;
-    for (size_t k = 0; k < was->size(); ++k) {
-      EXPECT_EQ(now->at(k).timestamp, was->at(k).timestamp);
-      EXPECT_EQ(now->at(k).features, was->at(k).features);
-      EXPECT_EQ(now->at(k).costs, was->at(k).costs);
-    }
   }
 }
 
@@ -392,47 +350,6 @@ TEST(EstimatorSnapshotDirectoryTest,
     }
     EXPECT_EQ(latest->SizeOf(scope), sizes[i] + 3) << scope;
   }
-}
-
-TEST(EstimatorSnapshotDirectoryTest,
-     MutableHistoryRepublishBuildsAFreshTable) {
-  SnapshotPublisher publisher = MakePublisher();
-  RecordManyScopes(&publisher);
-  auto before = publisher.Acquire();
-  publisher.MutableHistory().TrimAll(1);
-  auto republished = publisher.Acquire();
-  ASSERT_EQ(republished->epoch(), before->epoch() + 1);
-  // Built from an empty table: nothing is shared with the predecessor,
-  // which still reads its own windows.
-  for (size_t d = 0; d < EstimatorSnapshot::kDirectories; ++d) {
-    EXPECT_FALSE(republished->SharesDirectoryWith(*before, d)) << d;
-  }
-  ASSERT_EQ(republished->Scopes(), before->Scopes());
-  for (int i = 0; i < kManyScopes; ++i) {
-    const std::string scope = ScopeName(i);
-    const TrainingSet* was = before->Window(scope).ValueOrDie();
-    const TrainingSet* now = republished->Window(scope).ValueOrDie();
-    ASSERT_EQ(now->size(), 1u) << scope;
-    EXPECT_EQ(now->at(0).features, was->at(was->size() - 1).features)
-        << scope;
-    EXPECT_EQ(now->at(0).costs, was->at(was->size() - 1).costs) << scope;
-    EXPECT_EQ(before->SizeOf(scope), i % 3 == 0 ? 2u : 1u) << scope;
-  }
-  // The next publish copies only its own directory of the fresh table.
-  const std::string hot = ScopeName(5);
-  const size_t hot_bucket = EstimatorSnapshot::BucketOf(hot);
-  ASSERT_TRUE(publisher.Record(hot, Obs(3.0, 3.0)).ok());
-  auto after = publisher.Acquire();
-  for (size_t k = 0; k < EstimatorSnapshot::kBuckets; ++k) {
-    EXPECT_EQ(after->SharesBucketWith(*republished, k), k != hot_bucket) << k;
-  }
-  for (size_t d = 0; d < EstimatorSnapshot::kDirectories; ++d) {
-    EXPECT_EQ(after->SharesDirectoryWith(*republished, d),
-              d != hot_bucket / EstimatorSnapshot::kBucketsPerDirectory)
-        << d;
-  }
-  EXPECT_EQ(after->SizeOf(hot), 2u);
-  EXPECT_EQ(republished->SizeOf(hot), 1u);
 }
 
 TEST(EstimatorSnapshotTest, DreamFitIsMemoisedPerConfiguration) {

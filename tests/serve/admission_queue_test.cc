@@ -11,12 +11,10 @@ namespace midas {
 namespace {
 
 AdmissionQueue<int>::Options SmallQueue(size_t capacity = 16,
-                                        size_t tenant_cap = 0,
-                                        uint64_t quantum = 1) {
+                                        size_t tenant_cap = 0) {
   AdmissionQueue<int>::Options options;
   options.capacity = capacity;
   options.tenant_inflight_cap = tenant_cap;
-  options.drr_quantum = quantum;
   return options;
 }
 
@@ -79,25 +77,27 @@ TEST(AdmissionQueueTest, TenantCapCountsDispatchedUntilRelease) {
   EXPECT_EQ(queue.stats().rejected_tenant_cap, 2u);
 }
 
-TEST(AdmissionQueueTest, DrrHonoursWeights) {
+TEST(AdmissionQueueTest, BackloggedTenantsTakeTurns) {
   AdmissionQueue<int> queue(SmallQueue());
-  queue.SetTenantWeight("a", 2);
-  queue.SetTenantWeight("b", 1);
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(queue.Push("a", i).ok());
     ASSERT_TRUE(queue.Push("b", i).ok());
   }
-  // With weight 2 vs 1 and both lanes backlogged, each full ring pass
-  // serves a twice per b's once: a a b a a b ...
+  // Each ring visit dispatches one item and moves the cursor past the
+  // lane, so two backlogged lanes alternate: a b a b ..., each in FIFO
+  // order.
   std::vector<std::string> order;
-  for (int i = 0; i < 9; ++i) {
+  std::vector<int> items;
+  for (int i = 0; i < 8; ++i) {
     auto d = queue.Pop();
     ASSERT_TRUE(d.ok());
     order.push_back(d->tenant);
+    items.push_back(d->item);
     queue.Release(d->tenant);
   }
-  EXPECT_EQ(order, (std::vector<std::string>{"a", "a", "b", "a", "a", "b",
-                                             "a", "a", "b"}));
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "a", "b", "a", "b",
+                                             "a", "b"}));
+  EXPECT_EQ(items, (std::vector<int>{0, 0, 1, 1, 2, 2, 3, 3}));
 }
 
 TEST(AdmissionQueueTest, CloseDrainsThenFailsPop) {

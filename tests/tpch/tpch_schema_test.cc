@@ -73,13 +73,6 @@ TEST(TpchSchemaTest, ForeignKeyNdvsTrackReferencedTables) {
             75'000u);
 }
 
-TEST(RowsAtScaleTest, MatchesCatalog) {
-  EXPECT_EQ(RowsAtScale("lineitem", 0.1).ValueOrDie(), 600'000u);
-  EXPECT_EQ(RowsAtScale("region", 2.0).ValueOrDie(), 5u);
-  EXPECT_FALSE(RowsAtScale("unknown", 1.0).ok());
-  EXPECT_FALSE(RowsAtScale("lineitem", 0.0).ok());
-}
-
 TEST(TpchSchemaTest, PaperScaleConstants) {
   EXPECT_DOUBLE_EQ(kScaleFactor100MiB, 0.1);
   EXPECT_DOUBLE_EQ(kScaleFactor1GiB, 1.0);
